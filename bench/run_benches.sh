@@ -13,8 +13,12 @@
 #                       median plus p10/p50/p90 dispersion (default 5 here —
 #                       single-rep medians on small hosts scatter more than
 #                       the effects being tracked)
-#   MALTHUS_BENCH_PIN   pin worker threads round-robin over allowed CPUs
-#                       (default 1; set 0 to let the scheduler migrate)
+#   MALTHUS_BENCH_PIN   pin worker threads round-robin over allowed CPUs,
+#                       one per CPU, at points with no more threads than
+#                       allowed CPUs; points past the CPU count run
+#                       unpinned, since pinning would stack a spinner on
+#                       the lock owner's CPU (default 1; set 0 to let the
+#                       scheduler migrate at every point)
 set -euo pipefail
 
 build_dir="${1:-build}"

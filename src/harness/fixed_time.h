@@ -11,16 +11,22 @@
 // single median hides scheduler-induced spread larger than the effects the
 // benches exist to measure, so the tracked snapshots report all three.
 //
-// Worker threads are pinned round-robin over the allowed CPUs by default
-// (MALTHUS_BENCH_PIN=0 disables): unpinned runs let the scheduler migrate
-// spinners onto the owner's core mid-interval, which is the dominant
-// variance source ROADMAP flagged for bench_fig02/bench_abl_*.
+// While a point runs at most as many workers as there are CPUs in the
+// process affinity mask, the workers are pinned round-robin over those CPUs,
+// one per CPU (MALTHUS_BENCH_PIN=0 disables): unpinned runs let the
+// scheduler migrate spinners onto the owner's core mid-interval, which is
+// the dominant variance source in bench_fig02/bench_abl_*.
+// Past the CPU count the scheduler places the workers. Round-robin pinning
+// would there do the opposite of its purpose: it would keep a spinner on
+// the owner's or the heir's CPU for the whole interval, so an oversubscribed
+// point would measure where the workers were pinned, not the lock.
 //
 // Environment knobs (all optional):
 //   MALTHUS_BENCH_MS          — measurement interval per point (default 100)
 //   MALTHUS_BENCH_REPS        — repetitions for median/dispersion (default 1)
 //   MALTHUS_BENCH_MAXTHREADS  — cap on sweep thread counts (default 2×CPUs)
-//   MALTHUS_BENCH_PIN         — pin worker threads to CPUs (default 1)
+//   MALTHUS_BENCH_PIN         — pin worker threads to CPUs while they fit
+//                               the allowed CPUs (default 1)
 #ifndef MALTHUS_SRC_HARNESS_FIXED_TIME_H_
 #define MALTHUS_SRC_HARNESS_FIXED_TIME_H_
 
@@ -34,6 +40,7 @@
 
 #include "src/platform/align.h"
 #include "src/platform/rusage.h"
+#include "src/platform/sysinfo.h"
 
 namespace malthus {
 
@@ -47,6 +54,9 @@ void PinThreadToCpuIndex(int index);
 struct BenchConfig {
   int threads = 1;
   std::chrono::milliseconds duration{100};
+  // Pin worker t to the t-th allowed CPU. Applies only while `threads` is at
+  // most the number of allowed CPUs (LogicalCpuCount()); beyond that the
+  // scheduler places the workers (see the file comment).
   bool pin_threads = BenchPinningEnabled();
 };
 
@@ -73,6 +83,7 @@ std::vector<int> SweepThreadCounts(int cap);
 template <typename Body>
 BenchResult RunFixedTime(const BenchConfig& config, Body&& body) {
   const int n = config.threads;
+  const bool pin = config.pin_threads && n <= LogicalCpuCount();
   std::vector<CacheAligned<std::uint64_t>> counters(static_cast<std::size_t>(n));
   std::atomic<int> ready{0};
   std::atomic<bool> start{false};
@@ -82,7 +93,7 @@ BenchResult RunFixedTime(const BenchConfig& config, Body&& body) {
   threads.reserve(static_cast<std::size_t>(n));
   for (int t = 0; t < n; ++t) {
     threads.emplace_back([&, t] {
-      if (config.pin_threads) {
+      if (pin) {
         PinThreadToCpuIndex(t);
       }
       ready.fetch_add(1, std::memory_order_acq_rel);

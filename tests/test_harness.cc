@@ -1,9 +1,11 @@
 // Harness: fixed-time driver mechanics, sweep helpers, median-of-K, and the
 // table renderer.
 #include <gtest/gtest.h>
+#include <sched.h>
 
 #include <atomic>
 #include <cstdlib>
+#include <vector>
 
 #include "src/harness/fixed_time.h"
 #include "src/harness/table.h"
@@ -77,6 +79,68 @@ TEST(FixedTime, UsageDeltaPopulated) {
   const BenchResult result = RunFixedTime(config, [](int) {});
   EXPECT_GT(result.usage.cpu_seconds, 0.0);
   EXPECT_GT(result.usage.CpuUtilization(), 0.0);
+}
+
+cpu_set_t ProcessAffinity() {
+  cpu_set_t mask;
+  CPU_ZERO(&mask);
+  EXPECT_EQ(sched_getaffinity(0, sizeof(mask), &mask), 0);
+  return mask;
+}
+
+// The `index`-th CPU set in `mask`, or -1.
+int NthCpu(const cpu_set_t& mask, int index) {
+  for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
+    if (CPU_ISSET(cpu, &mask) && index-- == 0) {
+      return cpu;
+    }
+  }
+  return -1;
+}
+
+// The affinity mask each worker of a `pin_threads` run executes its body
+// under, read on the worker's first iteration.
+std::vector<cpu_set_t> WorkerAffinities(int threads) {
+  BenchConfig config;
+  config.threads = threads;
+  config.duration = std::chrono::milliseconds(50);
+  config.pin_threads = true;
+  std::vector<cpu_set_t> masks(static_cast<std::size_t>(threads));
+  std::vector<char> seen(static_cast<std::size_t>(threads), 0);
+  RunFixedTime(config, [&](int t) {
+    const auto i = static_cast<std::size_t>(t);
+    if (seen[i] == 0) {
+      EXPECT_EQ(sched_getaffinity(0, sizeof(masks[i]), &masks[i]), 0);
+      seen[i] = 1;
+    }
+  });
+  for (int t = 0; t < threads; ++t) {
+    EXPECT_EQ(seen[static_cast<std::size_t>(t)], 1) << "worker " << t << " never ran its body";
+  }
+  return masks;
+}
+
+TEST(FixedTime, PinsOneWorkerPerAllowedCpuWhileTheyFit) {
+  const cpu_set_t process = ProcessAffinity();
+  const int allowed = CPU_COUNT(&process);
+  const std::vector<cpu_set_t> masks = WorkerAffinities(allowed);
+  for (int t = 0; t < allowed; ++t) {
+    const cpu_set_t& mask = masks[static_cast<std::size_t>(t)];
+    EXPECT_EQ(CPU_COUNT(&mask), 1) << "worker " << t;
+    // Round-robin: worker t runs on the t-th allowed CPU.
+    EXPECT_TRUE(CPU_ISSET(NthCpu(process, t), &mask)) << "worker " << t;
+  }
+}
+
+TEST(FixedTime, LeavesWorkersToTheSchedulerPastTheAllowedCpus) {
+  // Pinned round-robin, the surplus worker would share a CPU with another
+  // for the whole run; every worker must keep the process mask instead.
+  const cpu_set_t process = ProcessAffinity();
+  const int allowed = CPU_COUNT(&process);
+  const std::vector<cpu_set_t> masks = WorkerAffinities(allowed + 1);
+  for (int t = 0; t <= allowed; ++t) {
+    EXPECT_TRUE(CPU_EQUAL(&masks[static_cast<std::size_t>(t)], &process)) << "worker " << t;
+  }
 }
 
 TEST(MedianOfK, PicksTheMedianRun) {
