@@ -70,25 +70,22 @@ class MiniDb {
       if (b->generation ==
           GenerationOf(block).load(std::memory_order_acquire)) {
         cache_hits_.fetch_add(1, std::memory_order_relaxed);
-        reads_.fetch_add(1, std::memory_order_relaxed);
         return b->values[key % kBlockSpan];
       }
       stale_refills_.fetch_add(1, std::memory_order_relaxed);
     }
     cache_misses_.fetch_add(1, std::memory_order_relaxed);
     // Miss (or stale): fill the whole block under the DB mutex — models
-    // reading the table block from disk — then install it in the cache.
+    // reading the table block from disk, which leveldb does with one
+    // iterator seek: one memtable seek to the block's first key and a
+    // level-0 walk over the rest — then install it in the cache.
     auto filled = std::make_shared<CachedBlock>();
-    const std::uint64_t base = block * kBlockSpan;
     db_mutex_.lock();
     filled->generation = GenerationOf(block).load(std::memory_order_relaxed);
-    for (std::uint64_t i = 0; i < kBlockSpan; ++i) {
-      filled->values[i] = memtable_.Get(base + i);
-    }
+    memtable_.GetRange(block * kBlockSpan, kBlockSpan, filled->values.data());
     db_mutex_.unlock();
     auto value = filled->values[key % kBlockSpan];
     block_cache_.Insert(block, std::move(filled), tid);
-    reads_.fetch_add(1, std::memory_order_relaxed);
     return value;
   }
 
@@ -107,7 +104,8 @@ class MiniDb {
     return s;
   }
 
-  std::uint64_t reads() const { return reads_.load(std::memory_order_relaxed); }
+  // Every Get counts as exactly one hit or one miss.
+  std::uint64_t reads() const { return cache_hits() + cache_misses(); }
   std::uint64_t writes() const { return writes_.load(std::memory_order_relaxed); }
   std::uint64_t cache_hits() const {
     return cache_hits_.load(std::memory_order_relaxed);
@@ -160,7 +158,6 @@ class MiniDb {
   SkipList memtable_;
   BlockCache block_cache_;
   std::array<std::atomic<std::uint64_t>, kGenSlots> block_gens_{};
-  std::atomic<std::uint64_t> reads_{0};
   std::atomic<std::uint64_t> writes_{0};
   std::atomic<std::uint64_t> cache_hits_{0};
   std::atomic<std::uint64_t> cache_misses_{0};

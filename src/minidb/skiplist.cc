@@ -100,6 +100,16 @@ std::optional<std::string> SkipList::Get(std::uint64_t key) const {
   return std::nullopt;
 }
 
+void SkipList::GetRange(std::uint64_t base, std::uint64_t n,
+                        std::optional<std::string>* out) const {
+  // Every key the seek returns is >= base, so k - base cannot wrap; the
+  // bound k < base + n would, for the last block of the key space.
+  for (const Node* x = FindGreaterOrEqual(base, nullptr); x != nullptr && x->key - base < n;
+       x = x->next(0)) {
+    out[x->key - base] = x->value;
+  }
+}
+
 bool SkipList::Delete(std::uint64_t key) {
   std::array<Node*, kMaxHeight> prev;
   prev.fill(head_);

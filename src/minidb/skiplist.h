@@ -31,6 +31,12 @@ class SkipList {
   // Returns the value or nullopt.
   std::optional<std::string> Get(std::uint64_t key) const;
 
+  // Stores the value of each present key k in [base, base + n) in
+  // out[k - base], with one seek and a level-0 walk; the slots of absent
+  // keys are left untouched. `out` must hold n slots. The range may end at
+  // the top of the key space (base + n wrapping to 0).
+  void GetRange(std::uint64_t base, std::uint64_t n, std::optional<std::string>* out) const;
+
   // Returns true if the key existed.
   bool Delete(std::uint64_t key);
 

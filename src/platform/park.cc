@@ -118,8 +118,7 @@ bool Parker::ParkFor(std::chrono::nanoseconds timeout) {
       // has already exchanged in kPermit (and possibly issued a by-now
       // harmless wake); consume that permit so it is never lost.
       std::int32_t expected = kParked;
-      if (state_.compare_exchange_strong(expected, kNeutral, std::memory_order_relaxed,
-                                         std::memory_order_acquire)) {
+      if (state_.compare_exchange_strong(expected, kNeutral, std::memory_order_acquire)) {
         return false;
       }
       // expected == kPermit: the permit won the race; take it. Further

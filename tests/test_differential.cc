@@ -20,6 +20,31 @@
 namespace malthus {
 namespace {
 
+// GetRange over [base, base + n) must return the reference's value for each
+// present key and leave the slot of each absent key nullopt.
+void ExpectGetRangeMatches(const SkipList& list,
+                           const std::map<std::uint64_t, std::string>& reference,
+                           std::uint64_t base, std::uint64_t n) {
+  std::vector<std::optional<std::string>> got(n);
+  list.GetRange(base, n, got.data());
+  for (std::uint64_t i = 0; i < n; ++i) {
+    const auto it = reference.find(base + i);
+    const std::optional<std::string> want =
+        it == reference.end() ? std::nullopt : std::optional<std::string>(it->second);
+    ASSERT_EQ(got[i], want) << "key " << base + i << " of the range at " << base;
+  }
+}
+
+// Every 16-key block of the [0, 2000) key space, as minidb fills them, and
+// one block that straddles its end.
+void ExpectBlocksMatch(const SkipList& list,
+                       const std::map<std::uint64_t, std::string>& reference) {
+  for (std::uint64_t base = 0; base < 2000; base += 16) {
+    ExpectGetRangeMatches(list, reference, base, 16);
+  }
+  ExpectGetRangeMatches(list, reference, 1992, 16);
+}
+
 TEST(SkipListDifferential, MatchesStdMap) {
   SkipList list;
   std::map<std::uint64_t, std::string> reference;
@@ -52,9 +77,11 @@ TEST(SkipListDifferential, MatchesStdMap) {
     if (step % 10000 == 0) {
       EXPECT_EQ(list.Size(), reference.size());
       EXPECT_TRUE(list.CheckInvariants());
+      ExpectBlocksMatch(list, reference);
     }
   }
   EXPECT_EQ(list.Size(), reference.size());
+  ExpectBlocksMatch(list, reference);
   // Lower-bound scan agreement over the full key space.
   for (std::uint64_t probe = 0; probe < 2000; probe += 37) {
     const auto got = list.LowerBoundKey(probe);

@@ -1,9 +1,12 @@
-// minidb substrate: skiplist CRUD + invariants, SimpleLRU semantics and
+// minidb substrate: skiplist CRUD, range reads + invariants, SimpleLRU semantics and
 // displacement tracking, and MiniDb end-to-end (readwhilewriting shape).
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <chrono>
+#include <cstdint>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -78,6 +81,27 @@ TEST(SkipList, LowerBound) {
   EXPECT_EQ(*list.LowerBoundKey(11), 20u);
   EXPECT_EQ(*list.LowerBoundKey(25), 30u);
   EXPECT_FALSE(list.LowerBoundKey(31).has_value());
+}
+
+TEST(SkipList, GetRangeAtTopOfKeySpace) {
+  // The last 16-key block of the key space, where base + n wraps to 0.
+  constexpr std::uint64_t kBase = UINT64_MAX - 15;
+  SkipList list;
+  list.Put(kBase - 1, "below");  // outside the range: never read
+  for (std::uint64_t i = 0; i < 16; ++i) {
+    if (i % 5 != 2) {  // keys kBase + 2, + 7 and + 12 stay absent
+      list.Put(kBase + i, std::to_string(i));
+    }
+  }
+  std::array<std::optional<std::string>, 16> out;
+  list.GetRange(kBase, out.size(), out.data());
+  for (std::uint64_t i = 0; i < 16; ++i) {
+    if (i % 5 == 2) {
+      EXPECT_EQ(out[i], std::nullopt) << "slot " << i;
+    } else {
+      EXPECT_EQ(out[i], std::to_string(i)) << "slot " << i;
+    }
+  }
 }
 
 TEST(SimpleLru, LookupPromotesAndInsertTrims) {
@@ -162,6 +186,16 @@ TEST(MiniDb, PutGetDeleteRoundTrip) {
   EXPECT_TRUE(db.Delete(1));
   EXPECT_FALSE(db.Get(1).has_value());
   EXPECT_EQ(db.Size(), 1u);
+}
+
+TEST(MiniDb, TopOfKeySpaceRoundTripsThroughAFill) {
+  MiniDb<McsSpinLock> db;
+  db.Put(UINT64_MAX, "top");
+  EXPECT_EQ(db.Get(UINT64_MAX), "top");
+  EXPECT_EQ(db.cache_misses(), 1u);  // the Get filled the block
+  EXPECT_EQ(db.Get(UINT64_MAX - 1), std::nullopt);
+  EXPECT_EQ(db.Get(UINT64_MAX), "top");
+  EXPECT_EQ(db.cache_hits(), 2u);  // both served by that fill
 }
 
 TEST(MiniDb, BlockCacheWarmsOnRepeatedReads) {

@@ -36,12 +36,36 @@ TEST(ThrottledLock, MutualExclusion) {
   EXPECT_EQ(counter, 8u * 10000u);
 }
 
+// Inner lock that counts the threads ThrottledLock has let through its
+// gate: it calls lock() after the gate admits a thread and unlock() before
+// it releases the gate, so everyone between the increment and the decrement
+// holds a gate permit. Counting inside the critical section instead would
+// read 1, whatever the gate admits.
+class GateCountingLock {
+ public:
+  void lock() {
+    const int now = in_gate_.fetch_add(1) + 1;
+    int seen = max_in_gate_.load();
+    while (now > seen && !max_in_gate_.compare_exchange_weak(seen, now)) {
+    }
+    inner_.lock();
+  }
+  void unlock() {
+    inner_.unlock();
+    in_gate_.fetch_sub(1);
+  }
+  int max_in_gate() const { return max_in_gate_.load(); }
+
+ private:
+  TtasLock inner_;
+  std::atomic<int> in_gate_{0};
+  std::atomic<int> max_in_gate_{0};
+};
+
 TEST(ThrottledLock, GateBoundsCirculatingSet) {
   ThrottleOptions opts;
   opts.max_circulating = 3;
-  ThrottledLock<TtasLock> lock(opts);
-  std::atomic<int> in_gate{0};
-  std::atomic<bool> violated{false};
+  ThrottledLock<GateCountingLock> lock(opts);
   std::atomic<int> ready{0};
   std::atomic<bool> go{false};
   std::vector<std::thread> workers;
@@ -53,13 +77,6 @@ TEST(ThrottledLock, GateBoundsCirculatingSet) {
       }
       for (int i = 0; i < 5000; ++i) {
         lock.lock();
-        // We hold both the gate and the inner lock; the gate population is
-        // everyone between gate-acquire and gate-release.
-        const int now = in_gate.fetch_add(1) + 1;
-        if (now > 3) {
-          violated.store(true);
-        }
-        in_gate.fetch_sub(1);
         lock.unlock();
       }
     });
@@ -71,7 +88,7 @@ TEST(ThrottledLock, GateBoundsCirculatingSet) {
   for (auto& w : workers) {
     w.join();
   }
-  EXPECT_FALSE(violated.load());
+  EXPECT_LE(lock.inner().max_in_gate(), 3);
   if (!test::SingleCpuHost()) {
     // Throttle engagement needs >3 threads *concurrently* at the gate; on
     // one effective CPU arrivals are serialized within quanta and the gate
