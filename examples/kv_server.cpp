@@ -1,19 +1,18 @@
 // KV server demo: the full request-serving pipeline end to end. An
 // open-loop Poisson generator offers Zipf-skewed multi-tenant traffic at a
-// configurable fraction of measured capacity; the server parks its surplus
-// workers at a Malthusian CR gate and serves the LRU backend from a
-// bounded CoDel admission queue, and prints per-tenant served/shed counts
-// with end-to-end and service-only latency percentiles.
+// configurable fraction of measured capacity; the server serves the LRU
+// backend from a bounded admission queue and prints per-tenant served/shed
+// counts with end-to-end and service-only latency percentiles.
 //
 // Run it twice to see the SLO story (docs/server.md):
 //
-//   build/kv_server 1.5 on     # admission on: p99 stays bounded, excess shed
-//   build/kv_server 1.5 off    # admission off: queueing delay inflates p99
+//   build/kv_server 1.5 on     # CPUs - 1 workers, CoDel: p99 stays bounded
+//   build/kv_server 1.5 off    # 4x CPUs workers, deep FIFO: p99 inflates
 //
 //   build/kv_server [rate_multiple] [on|off] [lock] [seconds]
 //
-// `lock` is one of the backend's locks: tas, pthread-style, mcs-stp (the
-// default), or mcscr-stp, which can hang in Stop() under contention.
+// `lock` is one of the backend's locks: tas, pthread-style, mcs-stp, or
+// mcscr-stp (the default).
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -36,12 +35,13 @@ KvServerOptions Config(const std::string& lock, bool admission) {
   opts.lock_name = lock;
   opts.structure = "lru";
   opts.workers = static_cast<std::size_t>(std::max(2, EffectiveCpuCount())) * 4;
-  // The generator busy-waits on one of the server's CPUs. Leave it that
-  // CPU, so that no gate permit holder is preempted by it.
+  // Admission on runs CPUs - 1 workers: the generator busy-waits on one of
+  // the server's CPUs, so leave it that CPU and no worker is preempted by
+  // it. Off runs the whole oversubscribed pool.
   opts.max_inflight =
-      static_cast<std::uint32_t>(std::max(1, EffectiveCpuCount() - 1));
+      admission ? static_cast<std::uint32_t>(std::max(1, EffectiveCpuCount() - 1))
+                : static_cast<std::uint32_t>(opts.workers);
   opts.tenants = 3;
-  opts.admission_enabled = admission;
   opts.codel_enabled = admission;
   opts.queue_capacity = admission ? 4096 : (1u << 16);
   return opts;
@@ -87,7 +87,7 @@ void PrintTenant(const char* label, const TenantStats& s) {
 int main(int argc, char** argv) {
   const double multiple = argc > 1 ? std::atof(argv[1]) : 1.5;
   const bool admission = argc > 2 ? (std::strcmp(argv[2], "off") != 0) : true;
-  const std::string lock = argc > 3 ? argv[3] : "mcs-stp";
+  const std::string lock = argc > 3 ? argv[3] : "mcscr-stp";
   const int seconds = argc > 4 ? std::atoi(argv[4]) : 2;
 
   std::printf("calibrating capacity (lock=%s)...\n", lock.c_str());
@@ -99,7 +99,8 @@ int main(int argc, char** argv) {
   std::printf("capacity ~ %.0f req/s; offering %.2fx = %.0f req/s, "
               "admission %s\n\n",
               capacity, multiple, capacity * multiple,
-              admission ? "ON (CR gate + CoDel)" : "OFF (deep FIFO)");
+              admission ? "ON (CPUs - 1 workers + CoDel)"
+                        : "OFF (4x CPUs workers, deep FIFO)");
 
   KvServer server(Config(lock, admission));
   if (!server.Start()) {

@@ -10,12 +10,10 @@ bool AdmissionQueue::TryPush(const ServerRequest& request) {
   lock_.lock();
   if (stopped_ || items_.size() >= capacity_) {
     lock_.unlock();
-    tail_drops_.fetch_add(1, std::memory_order_relaxed);
     return false;
   }
   items_.push_back(Item{request, now});
   lock_.unlock();
-  pushed_.fetch_add(1, std::memory_order_relaxed);
   not_empty_.Signal();
   return true;
 }
@@ -38,11 +36,8 @@ AdmissionQueue::PopResult AdmissionQueue::Pop() {
     shed = codel_.OnDequeue(sojourn, now.time_since_epoch());
   }
   lock_.unlock();
-  if (shed) {
-    codel_sheds_.fetch_add(1, std::memory_order_relaxed);
-    return PopResult{PopStatus::kShed, item.request, sojourn};
-  }
-  return PopResult{PopStatus::kServe, item.request, sojourn};
+  return PopResult{shed ? PopStatus::kShed : PopStatus::kServe, item.request,
+                   sojourn};
 }
 
 void AdmissionQueue::Stop() {

@@ -11,10 +11,9 @@
 // the queue (and every request's sojourn) without bound.
 //
 // Plain FIFO + one spin lock + one condvar. The lock spins globally, so it
-// must see few contenders: only the K workers holding a CR gate permit pop
-// and only the submitters push (KvServer parks the surplus workers at the
-// gate, before the queue), which leaves the backend's lock as the
-// interesting contention point.
+// must see few contenders: only KvServer's K workers pop and only the
+// submitters push, which leaves the backend's lock as the interesting
+// contention point.
 //
 // An idle consumer waits untimed on a strict-LIFO condvar (paper §6.10-6.11):
 // the consumers are interchangeable, so each push wakes the one that parked
@@ -24,7 +23,6 @@
 #ifndef MALTHUS_SRC_SERVER_ADMISSION_QUEUE_H_
 #define MALTHUS_SRC_SERVER_ADMISSION_QUEUE_H_
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <deque>
@@ -76,15 +74,6 @@ class AdmissionQueue {
   std::vector<ServerRequest> DrainAll();
 
   std::size_t Size();
-  std::uint64_t pushed() const { return pushed_.load(std::memory_order_relaxed); }
-  std::uint64_t tail_drops() const {
-    return tail_drops_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t codel_sheds() const {
-    return codel_sheds_.load(std::memory_order_relaxed);
-  }
-  // Consumer-side CoDel state; read under no lock for stats only.
-  const CoDel& codel() const { return codel_; }
 
  private:
   struct Item {
@@ -99,9 +88,6 @@ class AdmissionQueue {
   std::deque<Item> items_;
   CoDel codel_;  // guarded by lock_ (consulted during pop)
   bool stopped_ = false;
-  std::atomic<std::uint64_t> pushed_{0};
-  std::atomic<std::uint64_t> tail_drops_{0};
-  std::atomic<std::uint64_t> codel_sheds_{0};
 };
 
 }  // namespace malthus

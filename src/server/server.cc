@@ -1,5 +1,6 @@
 #include "src/server/server.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 
@@ -31,22 +32,16 @@ bool KvServer::Start() {
   if (backend_ == nullptr) {
     return false;
   }
-  if (opts_.admission_enabled) {
-    const std::uint32_t k =
-        opts_.max_inflight != 0
-            ? opts_.max_inflight
-            : static_cast<std::uint32_t>(EffectiveCpuCount());
-    // A worker that finds no permit waits until Stop(), so it parks at
-    // once rather than spinning on CPUs the permit holders need.
-    gate_ = std::make_unique<CrSemaphore>(static_cast<std::int64_t>(k),
-                                          CrSemaphoreOptions{.spin_budget = 0});
-  } else {
-    gate_.reset();
-  }
   zombie_baseline_ = OutstandingZombieQNodes();
   queue_.Restart();
-  workers_.reserve(opts_.workers);
-  for (std::size_t i = 0; i < opts_.workers; ++i) {
+  // The pool is the concurrency restriction: K workers, and no surplus.
+  const std::size_t k =
+      opts_.max_inflight != 0
+          ? opts_.max_inflight
+          : static_cast<std::size_t>(EffectiveCpuCount());
+  const std::size_t n = std::min(opts_.workers, k);
+  workers_.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
     workers_.emplace_back([this] { WorkerLoop(); });
   }
   running_ = true;
@@ -119,13 +114,6 @@ bool KvServer::Submit(const ServerRequest& request) {
 }
 
 void KvServer::WorkerLoop() {
-  // Gate-first dispatch: the CR gate comes before the queue, and a worker
-  // keeps its permit across requests. At most K workers ever take the
-  // queue lock; the surplus park here holding no request, so CoDel and the
-  // tail drop see each request's whole wait before service.
-  if (gate_ != nullptr) {
-    gate_->Wait();
-  }
   for (;;) {
     const AdmissionQueue::PopResult res = queue_.Pop();
     if (res.status == AdmissionQueue::PopStatus::kStopped) {
@@ -140,12 +128,6 @@ void KvServer::WorkerLoop() {
       continue;
     }
     ServeOne(res.request, std::chrono::steady_clock::now());
-  }
-  if (gate_ != nullptr) {
-    // Hand the permit on: the next parked worker wakes, finds the queue
-    // stopped and posts in turn. This chain is how Stop() reaches every
-    // worker parked in the untimed Wait().
-    gate_->Post();
   }
   // Worker retirement: short-lived pool threads must not leak timed-waiter
   // husks. Reap this thread's zombie QNodes (bounded wait for granters to
@@ -235,10 +217,6 @@ TenantStats KvServer::Aggregate() const {
   s.e2e_max = merged.e2e.Max();
   s.e2e_mean = merged.e2e.Mean();
   return s;
-}
-
-std::size_t KvServer::GateWaiters() const {
-  return gate_ != nullptr ? gate_->WaiterCount() : 0;
 }
 
 }  // namespace malthus

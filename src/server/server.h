@@ -10,22 +10,18 @@
 //   AdmissionQueue ── tail drop at Submit, CoDel shed at dequeue ──▶ shed
 //        │ Pop()
 //        ▼
-//   K workers, each holding   ◀── CR gate (CrSemaphore, K permits): the
-//   a CR gate permit              surplus workers park here, before the
-//        │                        queue, holding no request
+//   K = min(workers, max_inflight) worker threads, and no others
+//        │
 //        ▼
 //   KvBackend (minidb / kchash / lru behind one Malthusian lock)
 //
-// The CR gate is the paper's concurrency restriction applied to dispatch:
-// a worker takes a permit before it first touches the queue and keeps it
-// until it exits, so no matter how many workers the pool runs (the
-// oversubscription axis), only K of them ever take the queue lock or reach
-// the hot structure; the surplus passivate in the semaphore exactly as
-// surplus lock waiters passivate in MCSCR. A request therefore waits in one
-// place, the queue, where CoDel and the bounded capacity see its whole
-// wait and convert excess offered load into controlled shedding instead of
-// unbounded queueing delay, so the p99 of *served* requests stays flat as
-// offered load sweeps past capacity.
+// Concurrency restriction at dispatch is a thread count: Start() runs
+// K = min(workers, max_inflight) workers, so only K threads ever take the
+// queue lock or reach the hot structure, and no surplus thread exists to
+// park. A request therefore waits in one place, the queue, where CoDel and
+// the bounded capacity see its whole wait and convert excess offered load
+// into controlled shedding instead of unbounded queueing delay, so the p99
+// of *served* requests stays flat as offered load sweeps past capacity.
 //
 // Every completed request lands in per-tenant log-bucket histograms:
 // end-to-end (scheduled arrival → completion, coordinated-omission-safe)
@@ -46,7 +42,6 @@
 #include <thread>
 #include <vector>
 
-#include "src/core/cr_semaphore.h"
 #include "src/metrics/histogram.h"
 #include "src/platform/align.h"
 #include "src/server/admission_queue.h"
@@ -56,8 +51,8 @@
 namespace malthus {
 
 struct KvServerOptions {
-  // Worker pool size. kvbench's workloads oversubscribe this relative to
-  // EffectiveCpuCount() to reproduce the paper's excess-thread axis.
+  // Worker pool size. Start() runs the smaller of `workers` and
+  // `max_inflight` (K) threads.
   std::size_t workers = 4;
   std::size_t queue_capacity = 4096;
 
@@ -66,11 +61,11 @@ struct KvServerOptions {
   // overload turns into queueing delay instead of shedding.
   bool codel_enabled = true;
 
-  // CR gate: the number of workers that hold a permit, and so the most
-  // requests ever in flight over the backend; the other workers stay parked
-  // at the gate. 0 = EffectiveCpuCount(). Disabled = every worker pops and
-  // dives at the lock.
-  bool admission_enabled = true;
+  // K, the most requests ever in flight over the backend: Start() runs the
+  // smaller of `workers` and K threads. 0 = EffectiveCpuCount(). K should
+  // not exceed the CPUs the workers get: a worker preempted by another
+  // busy thread on those CPUs stalls the others behind a FIFO lock handoff
+  // to it (docs/server.md).
   std::uint32_t max_inflight = 0;
 
   // Backend selection (see backend.h). `backend_shards` applies to the
@@ -89,8 +84,8 @@ struct TenantStats {
   std::uint64_t served = 0;
   std::uint64_t shed_queue_full = 0;  // tail-dropped at Submit
   std::uint64_t shed_codel = 0;       // shed by CoDel at dequeue
-  // Always 0: the gate no longer sheds. Kept because kvbench/child.cc
-  // prints it; removable in the next benchmark-defining change.
+  // Always 0, kept for `kvbench/child.cc`; removable in the next
+  // benchmark-defining change.
   std::uint64_t shed_gate_timeout = 0;
   std::uint64_t shed_at_stop = 0;  // still queued at Stop()
   std::uint64_t get_hits = 0;
@@ -112,8 +107,8 @@ class KvServer {
   KvServer(const KvServer&) = delete;
   KvServer& operator=(const KvServer&) = delete;
 
-  // Spawns the worker pool. Returns false if the backend combination is
-  // unknown. Idempotent while running.
+  // Spawns min(workers, max_inflight) workers. Returns false if the
+  // backend combination is unknown. Idempotent while running.
   bool Start();
 
   // Stops accepting work, joins workers, accounts still-queued requests as
@@ -137,10 +132,9 @@ class KvServer {
   TenantStats Aggregate() const;
 
   std::size_t QueueDepth() { return queue_.Size(); }
-  const AdmissionQueue& queue() const { return queue_; }
-  // Surplus workers parked at the CR gate, holding no request; 0 when
-  // admission is disabled.
-  std::size_t GateWaiters() const;
+  // Always 0, kept for `kvbench/child.cc`; removable in the next
+  // benchmark-defining change.
+  std::size_t GateWaiters() const { return 0; }
 
   const KvServerOptions& options() const { return opts_; }
   KvBackend* backend() { return backend_.get(); }
@@ -170,7 +164,6 @@ class KvServer {
   KvServerOptions opts_;
   AdmissionQueue queue_;
   std::unique_ptr<KvBackend> backend_;
-  std::unique_ptr<CrSemaphore> gate_;  // null when admission disabled
   mutable std::vector<std::unique_ptr<Tenant>> tenants_;
   std::vector<std::thread> workers_;
   bool running_ = false;

@@ -1,10 +1,9 @@
 // KV server subsystem tests: Zipf generator distribution sanity, CoDel
 // state machine under a fake clock, admission-queue semantics, server
-// admission accounting, multi-tenant isolation, gate-first dispatch (the
-// surplus workers park at the CR gate holding no request, and Stop()
-// reaches them by handing the permits on), teardown hygiene (zombie QNode
-// drain), an end-to-end sweep smoke under a stall watchdog, and the server
-// FailPoint sites.
+// admission accounting, multi-tenant isolation, the worker count (Start()
+// runs min(workers, max_inflight) threads and Stop() joins them all),
+// teardown hygiene (zombie QNode drain), an end-to-end sweep smoke under a
+// stall watchdog, and the server FailPoint sites.
 #include <gtest/gtest.h>
 #include <sched.h>
 
@@ -12,6 +11,8 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <filesystem>
+#include <iterator>
 #include <string>
 #include <thread>
 #include <vector>
@@ -220,7 +221,6 @@ TEST(AdmissionQueue, TailDropsAtCapacity) {
     EXPECT_TRUE(q.TryPush(Req(0, i)));
   }
   EXPECT_FALSE(q.TryPush(Req(0, 99)));
-  EXPECT_EQ(q.tail_drops(), 1u);
   EXPECT_EQ(q.Size(), 4u);
 }
 
@@ -570,22 +570,41 @@ TEST(KvBackend, DisplacementStatsAttributeEvictionsToTids) {
   }
 }
 
-// Gate-first dispatch: a worker takes its gate permit before it touches the
-// queue and keeps it, so once a burst drains, the 14 workers without one
-// sit parked at the gate rather than on the queue. Stop() reaches them only
-// through the permit hand-on (each exiting worker posts, the next parked
-// one wakes, finds the queue stopped and posts in turn), so every
-// Start/Stop round must return.
-TEST(KvServer, SurplusWorkersPassivateAtTheGate) {
+// Threads in this process: the entries of /proc/self/task.
+std::size_t ThreadCount() {
+  return static_cast<std::size_t>(
+      std::distance(std::filesystem::directory_iterator("/proc/self/task"),
+                    std::filesystem::directory_iterator{}));
+}
+
+// A joined thread can stay listed for a moment while the kernel releases
+// it, so wait (bounded) for the count to reach `want`.
+std::size_t AwaitThreadCount(std::size_t want) {
+  const auto deadline = std::chrono::steady_clock::now() + 5s;
+  std::size_t n = ThreadCount();
+  while (n != want && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(1ms);
+    n = ThreadCount();
+  }
+  return n;
+}
+
+// The pool is the concurrency restriction: Start() runs min(workers,
+// max_inflight) threads, with no surplus to park, and Stop() reaches every
+// worker through the queue's broadcast alone, so the process returns to
+// its thread count after every Start/Stop round.
+TEST(KvServer, StartsOnlyTheWorkersThatServe) {
   test::StallWatchdog watchdog(30s, [] {
-    std::fprintf(stderr, "[SurplusWorkers] stalled; zombie gauge=%llu\n",
+    std::fprintf(stderr, "[StartsOnlyTheWorkers] stalled; zombie gauge=%llu\n",
                  static_cast<unsigned long long>(OutstandingZombieQNodes()));
   });
+  const std::size_t baseline = ThreadCount();
   KvServerOptions opts = SmallServer("lru", "mcs-stp");
   opts.workers = 16;
   opts.max_inflight = 2;
   KvServer server(opts);
   ASSERT_TRUE(server.Start());
+  EXPECT_EQ(ThreadCount(), baseline + 2);
   constexpr int kRequests = 2000;
   XorShift64 rng(31);
   for (int i = 0; i < kRequests; ++i) {
@@ -593,23 +612,28 @@ TEST(KvServer, SurplusWorkersPassivateAtTheGate) {
   }
   AwaitDrained(server);
   watchdog.Beat();
-  const auto deadline = std::chrono::steady_clock::now() + 5s;
-  while (server.GateWaiters() < 14 &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(1ms);
-  }
-  EXPECT_EQ(server.GateWaiters(), 14u);
   server.Stop();
   watchdog.Beat();
+  EXPECT_EQ(AwaitThreadCount(baseline), baseline);
   const TenantStats agg = server.Aggregate();
   EXPECT_EQ(agg.offered, static_cast<std::uint64_t>(kRequests));
   EXPECT_EQ(agg.served + agg.shed_total(), agg.offered);
   EXPECT_GT(agg.served, 0u);
   for (int round = 0; round < 20; ++round) {
     ASSERT_TRUE(server.Start()) << round;
+    EXPECT_EQ(ThreadCount(), baseline + 2) << round;
     server.Stop();
+    EXPECT_EQ(AwaitThreadCount(baseline), baseline) << round;
     watchdog.Beat();
   }
+
+  opts.workers = 4;
+  opts.max_inflight = 4;
+  KvServer full(opts);
+  ASSERT_TRUE(full.Start());
+  EXPECT_EQ(ThreadCount(), baseline + 4);
+  full.Stop();
+  EXPECT_EQ(AwaitThreadCount(baseline), baseline);
 }
 
 TEST(KvServer, StartStopChurnLeaksNothing) {
@@ -724,7 +748,8 @@ TEST(ServerSweep, SmokeUnderWatchdogNoShedStormOrHang) {
     opts.queue_capacity = 2048;
     opts.structure = "lru";
     opts.lock_name = "mcs-stp";
-    opts.admission_enabled = admission;
+    // Off runs every worker, on a plain FIFO.
+    opts.max_inflight = admission ? 0 : static_cast<std::uint32_t>(opts.workers);
     opts.codel_enabled = admission;
     opts.tenants = 2;
     KvServer server(opts);
@@ -745,7 +770,7 @@ TEST(ServerSweep, SmokeUnderWatchdogNoShedStormOrHang) {
     EXPECT_EQ(agg.served + agg.shed_total(), agg.offered);
     EXPECT_GT(stats.offered, 0u);
     // At well-under-capacity load the overwhelming majority must be served
-    // — a shed storm here means the CoDel/gate plumbing is broken.
+    // — a shed storm here means the CoDel/dispatch plumbing is broken.
     EXPECT_GT(static_cast<double>(agg.served),
               0.7 * static_cast<double>(agg.offered))
         << "admission=" << admission;
@@ -823,8 +848,9 @@ TEST_F(ServerChaosTest, YieldStormPreservesAccounting) {
                    static_cast<unsigned long long>(info.fires));
     }
   });
+  // SmallServer's max_inflight runs 2 workers; under taskset -c 0 they
+  // share the CPU with the submitter, so the forced yields deschedule them.
   KvServerOptions opts = SmallServer("kchash", "mcscr-stp");
-  opts.workers = 6;  // oversubscribed on small hosts — the interesting case
   opts.queue_capacity = 256;
   KvServer server(opts);
   ASSERT_TRUE(server.Start());
