@@ -48,6 +48,10 @@ using Clock = std::chrono::steady_clock;
 // When and whether the owner posts the heir's wake permit during the hold.
 enum class Hint { kNone, kTopOfHold, kBeforeUnlock };
 
+// Spin budget argument meaning "don't pin": the lock keeps its default,
+// SeedSpinBudget().
+constexpr std::uint32_t kLockDefaultBudget = UINT32_MAX;
+
 struct HandoverStats {
   double median_handover_ns = 0.0;
   double p10_handover_ns = 0.0;
@@ -172,7 +176,7 @@ void HandoverPoint(benchmark::State& state, std::uint32_t spin_budget, Hint hint
   for (auto _ : state) {
     Lock lock;
     if constexpr (requires(Lock& l, std::uint32_t b) { l.set_spin_budget(b); }) {
-      if (spin_budget != kAutoSpinBudget) {
+      if (spin_budget != kLockDefaultBudget) {
         lock.set_spin_budget(spin_budget);
       }
     }
@@ -221,19 +225,19 @@ void RegisterAll() {
   // quick while the median stays stable.
   benchmark::RegisterBenchmark(
       "Handover/tas",
-      [=](benchmark::State& s) { HandoverPoint<TtasLock>(s, kAutoSpinBudget, kPlain, 100); })
+      [=](benchmark::State& s) { HandoverPoint<TtasLock>(s, kLockDefaultBudget, kPlain, 100); })
       ->Iterations(1);
   benchmark::RegisterBenchmark(
       "Handover/mcs-s",
-      [=](benchmark::State& s) { HandoverPoint<McsSpinLock>(s, kAutoSpinBudget, kPlain); })
+      [=](benchmark::State& s) { HandoverPoint<McsSpinLock>(s, kLockDefaultBudget, kPlain); })
       ->Iterations(1);
   benchmark::RegisterBenchmark(
       "Handover/mcs-stp-spinning",
-      [=](benchmark::State& s) { HandoverPoint<McsStpLock>(s, kAutoSpinBudget, kPlain); })
+      [=](benchmark::State& s) { HandoverPoint<McsStpLock>(s, kLockDefaultBudget, kPlain); })
       ->Iterations(1);
   benchmark::RegisterBenchmark(
       "Handover/mcs-stp-spinning-wakeahead",
-      [=](benchmark::State& s) { HandoverPoint<McsStpLock>(s, kAutoSpinBudget, kWakeAhead); })
+      [=](benchmark::State& s) { HandoverPoint<McsStpLock>(s, kLockDefaultBudget, kWakeAhead); })
       ->Iterations(1);
   // Forced-park variants keep only genuinely parked rounds; extra rounds
   // buy enough samples when the ping-pong drifts into its decoupled mode.
@@ -247,11 +251,11 @@ void RegisterAll() {
       ->Iterations(1);
   benchmark::RegisterBenchmark(
       "Handover/mcscr-stp",
-      [=](benchmark::State& s) { HandoverPoint<McscrStpLock>(s, kAutoSpinBudget, kPlain); })
+      [=](benchmark::State& s) { HandoverPoint<McscrStpLock>(s, kLockDefaultBudget, kPlain); })
       ->Iterations(1);
   benchmark::RegisterBenchmark(
       "Handover/mcscr-stp-wakeahead",
-      [=](benchmark::State& s) { HandoverPoint<McscrStpLock>(s, kAutoSpinBudget, kWakeAhead); })
+      [=](benchmark::State& s) { HandoverPoint<McscrStpLock>(s, kLockDefaultBudget, kWakeAhead); })
       ->Iterations(1);
   // LOITER: the partner is forced down the slow path (one fast-spin
   // attempt), so every round is a standby park/wake cycle — the §5.2 grant

@@ -33,9 +33,8 @@ void CrSemaphore::Wait() {
   Unguard();
 
   // Spin-then-park on our own grant word: a poster's PreparePost() hint or
-  // direct handoff is then usually observed in userspace. The adaptive
-  // budget tracks this semaphore's real handoff latency.
-  SpinThenParkPolicy::Await(w.state, kQueued, self.parker, spin_budget_);
+  // a direct handoff within the spin budget is then observed in userspace.
+  SpinThenParkPolicy::Await(w.state, kQueued, self.parker, opts_.spin_budget);
   // The permit was handed to us directly by a poster; nothing to consume.
 }
 
@@ -71,7 +70,8 @@ bool CrSemaphore::TryWaitUntil(std::chrono::steady_clock::time_point deadline) {
   waiters_.fetch_add(1, std::memory_order_relaxed);
   Unguard();
 
-  if (SpinThenParkPolicy::AwaitUntil(w.state, kQueued, self.parker, deadline, spin_budget_)) {
+  if (SpinThenParkPolicy::AwaitUntil(w.state, kQueued, self.parker, deadline,
+                                     opts_.spin_budget)) {
     return true;  // Granted a permit directly.
   }
 

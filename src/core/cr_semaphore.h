@@ -17,25 +17,25 @@
 #include <cstdint>
 
 #include "src/platform/align.h"
+#include "src/platform/calibrate.h"
 #include "src/platform/cpu.h"
 #include "src/platform/thread_registry.h"
 #include "src/rng/xorshift.h"
-#include "src/waiting/spin_budget.h"
 
 namespace malthus {
 
 struct CrSemaphoreOptions {
   double append_probability = 1.0;  // 1.0 = FIFO, 0.0 = LIFO
-  // Spin-then-park budget for waiters (kAutoSpinBudget = adaptive).
-  std::uint32_t spin_budget = kAutoSpinBudget;
+  // Spin iterations before a waiter parks; the default is 10 µs of
+  // spinning (SeedSpinBudget()).
+  std::uint32_t spin_budget = SeedSpinBudget();
 };
 
 class CrSemaphore {
  public:
-  explicit CrSemaphore(std::int64_t initial = 0)
-      : count_(initial), spin_budget_(kAutoSpinBudget) {}
+  explicit CrSemaphore(std::int64_t initial = 0) : count_(initial) {}
   CrSemaphore(std::int64_t initial, const CrSemaphoreOptions& opts)
-      : count_(initial), opts_(opts), spin_budget_(opts.spin_budget) {}
+      : count_(initial), opts_(opts) {}
   CrSemaphore(const CrSemaphore&) = delete;
   CrSemaphore& operator=(const CrSemaphore&) = delete;
 
@@ -64,12 +64,6 @@ class CrSemaphore {
   std::size_t WaiterCount() const { return waiters_.load(std::memory_order_relaxed); }
   // Timed waits that gave up at their deadline.
   std::uint64_t Timeouts() const { return timeouts_.load(std::memory_order_relaxed); }
-
-  void set_options(const CrSemaphoreOptions& opts) {
-    opts_ = opts;
-    spin_budget_.Reset(opts.spin_budget);
-  }
-  AdaptiveSpinBudget& spin_budget() { return spin_budget_; }
 
  private:
   static constexpr std::uint32_t kQueued = 0;
@@ -121,7 +115,6 @@ class CrSemaphore {
   std::atomic<std::size_t> waiters_{0};
   std::atomic<std::uint64_t> timeouts_{0};
   CrSemaphoreOptions opts_;
-  AdaptiveSpinBudget spin_budget_;
 };
 
 // folly-equivalent strict-LIFO semaphore.

@@ -28,23 +28,22 @@
 #include "src/chaos/failpoint.h"
 #include "src/locks/lock_base.h"
 #include "src/metrics/admission_log.h"
+#include "src/platform/calibrate.h"
 #include "src/rng/xorshift.h"
 #include "src/waiting/policy.h"
-#include "src/waiting/spin_budget.h"
 
 namespace malthus {
 
 struct LifoCrOptions {
   std::uint64_t fairness_one_in = 1000;
-  std::uint32_t spin_budget = kAutoSpinBudget;
+  std::uint32_t spin_budget = SeedSpinBudget();  // as McscrOptions::spin_budget
 };
 
 template <typename WaitPolicy>
 class LifoCrLock {
  public:
-  LifoCrLock() : spin_budget_(kAutoSpinBudget) {}
-  explicit LifoCrLock(const LifoCrOptions& opts)
-      : opts_(opts), spin_budget_(opts.spin_budget) {}
+  LifoCrLock() = default;
+  explicit LifoCrLock(const LifoCrOptions& opts) : opts_(opts) {}
   LifoCrLock(const LifoCrLock&) = delete;
   LifoCrLock& operator=(const LifoCrLock&) = delete;
 
@@ -69,7 +68,7 @@ class LifoCrLock {
                      std::memory_order_relaxed);
       if (word_.compare_exchange_weak(cur, reinterpret_cast<std::uintptr_t>(me),
                                       std::memory_order_release, std::memory_order_relaxed)) {
-        WaitPolicy::Await(me->status, kWaiting, self.parker, spin_budget_);
+        WaitPolicy::Await(me->status, kWaiting, self.parker, opts_.spin_budget);
         break;  // Granted; our node has been unlinked by the granter.
       }
     }
@@ -124,7 +123,8 @@ class LifoCrLock {
                      std::memory_order_relaxed);
       if (word_.compare_exchange_weak(cur, reinterpret_cast<std::uintptr_t>(me),
                                       std::memory_order_release, std::memory_order_relaxed)) {
-        if (!WaitPolicy::AwaitUntil(me->status, kWaiting, self.parker, deadline, spin_budget_)) {
+        if (!WaitPolicy::AwaitUntil(me->status, kWaiting, self.parker, deadline,
+                                    opts_.spin_budget)) {
           MALTHUS_FAILPOINT("lifocr.cancel");
           std::uint32_t expected = kWaiting;
           if (me->status.compare_exchange_strong(expected, kCancelled, std::memory_order_release,
@@ -264,11 +264,6 @@ class LifoCrLock {
   void set_recorder(AdmissionLog* recorder) {
     recorder_.store(recorder, std::memory_order_relaxed);
   }
-  void set_options(const LifoCrOptions& opts) {
-    opts_ = opts;
-    spin_budget_.Reset(opts.spin_budget);
-  }
-  AdaptiveSpinBudget& spin_budget() { return spin_budget_; }
 
   std::uint64_t fairness_grants() const {
     return fairness_grants_.load(std::memory_order_relaxed);
@@ -306,7 +301,6 @@ class LifoCrLock {
   std::atomic<std::uint64_t> cancelled_reclaims_{0};
   std::atomic<AdmissionLog*> recorder_{nullptr};
   LifoCrOptions opts_;
-  AdaptiveSpinBudget spin_budget_;
 };
 
 using LifoCrSpinLock = LifoCrLock<YieldingSpinPolicy>;  // LIFO-S (yield-aware spin)

@@ -36,9 +36,9 @@
 #include "src/chaos/failpoint.h"
 #include "src/locks/lock_base.h"
 #include "src/metrics/admission_log.h"
+#include "src/platform/calibrate.h"
 #include "src/rng/xorshift.h"
 #include "src/waiting/policy.h"
-#include "src/waiting/spin_budget.h"
 
 namespace malthus {
 
@@ -49,10 +49,10 @@ struct McscrOptions {
   // Max culls per unlock. 0 disables CR entirely (degenerates to MCS);
   // UINT32_MAX drains all surplus in one unlock.
   std::uint32_t cull_limit = 1;
-  // kAutoSpinBudget enables the per-lock adaptive budget (seeded from the
-  // paper's context-switch round trip, SeedSpinBudget()); any other value
-  // pins the budget.
-  std::uint32_t spin_budget = kAutoSpinBudget;
+  // Spin iterations before a waiter parks. The default is the paper's
+  // ~20,000 cycles, 10 µs (SeedSpinBudget()); the ablation benches and tests
+  // pin other counts.
+  std::uint32_t spin_budget = SeedSpinBudget();
   // Anticipatory warmup (paper §5.1, optional): when handing off, also
   // unpark the waiter *behind* the successor so that by the time it is
   // granted it is spinning rather than blocked in the kernel. Increases the
@@ -66,9 +66,8 @@ struct McscrOptions {
 template <typename WaitPolicy>
 class McscrLock {
  public:
-  McscrLock() : spin_budget_(kAutoSpinBudget) {}
-  explicit McscrLock(const McscrOptions& opts)
-      : opts_(opts), spin_budget_(opts.spin_budget) {}
+  McscrLock() = default;
+  explicit McscrLock(const McscrOptions& opts) : opts_(opts) {}
   McscrLock(const McscrLock&) = delete;
   McscrLock& operator=(const McscrLock&) = delete;
 
@@ -79,7 +78,7 @@ class McscrLock {
     QNode* prev = tail_.exchange(me, std::memory_order_acq_rel);
     if (prev != nullptr) {
       prev->next.store(me, std::memory_order_release);
-      WaitPolicy::Await(me->status, kWaiting, self.parker, spin_budget_);
+      WaitPolicy::Await(me->status, kWaiting, self.parker, opts_.spin_budget);
       // Await exits on kClaimed too: a refill or fairness graft that has
       // not yet committed the grant.
       AwaitGrantCommit(me->status);
@@ -121,7 +120,8 @@ class McscrLock {
     QNode* prev = tail_.exchange(me, std::memory_order_acq_rel);
     if (prev != nullptr) {
       prev->next.store(me, std::memory_order_release);
-      if (!WaitPolicy::AwaitUntil(me->status, kWaiting, self.parker, deadline, spin_budget_)) {
+      if (!WaitPolicy::AwaitUntil(me->status, kWaiting, self.parker, deadline,
+                                  opts_.spin_budget)) {
         MALTHUS_FAILPOINT("mcscr.cancel");
         std::uint32_t expected = kWaiting;
         if (me->status.compare_exchange_strong(expected, kCancelled, std::memory_order_release,
@@ -303,12 +303,7 @@ class McscrLock {
   void set_recorder(AdmissionLog* recorder) {
     recorder_.store(recorder, std::memory_order_relaxed);
   }
-  void set_options(const McscrOptions& opts) {
-    opts_ = opts;
-    spin_budget_.Reset(opts.spin_budget);
-  }
   const McscrOptions& options() const { return opts_; }
-  AdaptiveSpinBudget& spin_budget() { return spin_budget_; }
 
   // Instrumentation. ps_size is exact only while the lock is quiescent.
   std::uint64_t culls() const { return culls_.load(std::memory_order_relaxed); }
@@ -496,7 +491,6 @@ class McscrLock {
   std::atomic<std::uint64_t> cancelled_reclaims_{0};
   std::atomic<AdmissionLog*> recorder_{nullptr};
   McscrOptions opts_;
-  AdaptiveSpinBudget spin_budget_;
 };
 
 using McscrSpinLock = McscrLock<YieldingSpinPolicy>;  // MCSCR-S (yield-aware spin)

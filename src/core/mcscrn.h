@@ -24,24 +24,23 @@
 #include "src/core/topology.h"
 #include "src/locks/lock_base.h"
 #include "src/metrics/admission_log.h"
+#include "src/platform/calibrate.h"
 #include "src/rng/xorshift.h"
 #include "src/waiting/policy.h"
-#include "src/waiting/spin_budget.h"
 
 namespace malthus {
 
 struct McscrnOptions {
   std::uint64_t fairness_one_in = 1000;  // home-rotation Bernoulli
   std::uint32_t cull_scan_limit = 4;     // chain nodes inspected per unlock
-  std::uint32_t spin_budget = kAutoSpinBudget;
+  std::uint32_t spin_budget = SeedSpinBudget();  // as McscrOptions::spin_budget
 };
 
 template <typename WaitPolicy>
 class McscrnLock {
  public:
-  McscrnLock() : spin_budget_(kAutoSpinBudget) {}
-  explicit McscrnLock(const McscrnOptions& opts)
-      : opts_(opts), spin_budget_(opts.spin_budget) {}
+  McscrnLock() = default;
+  explicit McscrnLock(const McscrnOptions& opts) : opts_(opts) {}
   McscrnLock(const McscrnLock&) = delete;
   McscrnLock& operator=(const McscrnLock&) = delete;
 
@@ -53,7 +52,7 @@ class McscrnLock {
     QNode* prev = tail_.exchange(me, std::memory_order_acq_rel);
     if (prev != nullptr) {
       prev->next.store(me, std::memory_order_release);
-      WaitPolicy::Await(me->status, kWaiting, self.parker, spin_budget_);
+      WaitPolicy::Await(me->status, kWaiting, self.parker, opts_.spin_budget);
       // Await exits on kClaimed too: a refill or home rotation that has not
       // yet committed the grant.
       AwaitGrantCommit(me->status);
@@ -94,7 +93,8 @@ class McscrnLock {
     QNode* prev = tail_.exchange(me, std::memory_order_acq_rel);
     if (prev != nullptr) {
       prev->next.store(me, std::memory_order_release);
-      if (!WaitPolicy::AwaitUntil(me->status, kWaiting, self.parker, deadline, spin_budget_)) {
+      if (!WaitPolicy::AwaitUntil(me->status, kWaiting, self.parker, deadline,
+                                  opts_.spin_budget)) {
         MALTHUS_FAILPOINT("mcscrn.cancel");
         std::uint32_t expected = kWaiting;
         if (me->status.compare_exchange_strong(expected, kCancelled, std::memory_order_release,
@@ -267,11 +267,6 @@ class McscrnLock {
   void set_recorder(AdmissionLog* recorder) {
     recorder_.store(recorder, std::memory_order_relaxed);
   }
-  void set_options(const McscrnOptions& opts) {
-    opts_ = opts;
-    spin_budget_.Reset(opts.spin_budget);
-  }
-  AdaptiveSpinBudget& spin_budget() { return spin_budget_; }
 
   std::uint64_t culls() const { return culls_.load(std::memory_order_relaxed); }
   std::uint64_t remote_culls() const { return remote_culls_.load(std::memory_order_relaxed); }
@@ -488,7 +483,6 @@ class McscrnLock {
   std::atomic<std::uint64_t> cancelled_reclaims_{0};
   std::atomic<AdmissionLog*> recorder_{nullptr};
   McscrnOptions opts_;
-  AdaptiveSpinBudget spin_budget_;
 };
 
 using McscrnSpinLock = McscrnLock<YieldingSpinPolicy>;  // MCSCRN-S (yield-aware spin)

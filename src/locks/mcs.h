@@ -19,8 +19,8 @@
 #include "src/chaos/failpoint.h"
 #include "src/locks/lock_base.h"
 #include "src/metrics/admission_log.h"
+#include "src/platform/calibrate.h"
 #include "src/waiting/policy.h"
-#include "src/waiting/spin_budget.h"
 
 namespace malthus {
 
@@ -192,9 +192,9 @@ class McsLock {
   void set_recorder(AdmissionLog* recorder) {
     recorder_.store(recorder, std::memory_order_relaxed);
   }
-  void set_spin_budget(std::uint32_t budget) { spin_budget_.Pin(budget); }
-
-  AdaptiveSpinBudget& spin_budget() { return spin_budget_; }
+  // Spin iterations before a waiter parks (SeedSpinBudget() by default).
+  // Set it before other threads use the lock.
+  void set_spin_budget(std::uint32_t budget) { spin_budget_ = budget; }
 
   // Acquisitions that timed out and self-removed.
   std::uint64_t timeouts() const { return timeouts_.load(std::memory_order_relaxed); }
@@ -220,7 +220,7 @@ class McsLock {
   // store of the grant flag; read only by the owner at unlock.
   QNode* owner_ = nullptr;
   std::atomic<AdmissionLog*> recorder_{nullptr};
-  AdaptiveSpinBudget spin_budget_;
+  std::uint32_t spin_budget_ = SeedSpinBudget();
   std::atomic<std::uint64_t> timeouts_{0};
   std::atomic<std::uint64_t> cancelled_reclaims_{0};
 };

@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
+#include <cmath>
+#include <limits>
 
 #include "src/platform/cpu.h"
 
@@ -11,32 +12,33 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-double MeasureSpinIterationNs() {
-  constexpr int kIters = 10000;
-  const auto begin = Clock::now();
-  for (int i = 0; i < kIters; ++i) {
-    CpuRelax();
-  }
-  const auto end = Clock::now();
-  const double total_ns =
-      static_cast<double>(std::chrono::duration_cast<std::chrono::nanoseconds>(end - begin).count());
-  return std::max(0.5, total_ns / kIters);
-}
+// The paper's ~20,000 cycles at 2 GHz.
+constexpr double kSeedSpinNs = 10'000.0;
 
-std::uint32_t ReadSeed() {
-  if (const char* env = std::getenv("MALTHUS_SPIN_BUDGET"); env != nullptr) {
-    const long v = std::strtol(env, nullptr, 10);
-    if (v > 0) {
-      return static_cast<std::uint32_t>(v);
+// The fastest of several short batches: a preemption or a stolen tick
+// inflates one batch, not the answer.
+double MeasureSpinIterationNs() {
+  constexpr int kBatches = 10;
+  constexpr int kItersPerBatch = 1000;
+  double best_ns = std::numeric_limits<double>::max();
+  for (int b = 0; b < kBatches; ++b) {
+    const auto begin = Clock::now();
+    for (int i = 0; i < kItersPerBatch; ++i) {
+      CpuRelax();
     }
+    const auto end = Clock::now();
+    const double batch_ns = static_cast<double>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(end - begin).count());
+    best_ns = std::min(best_ns, batch_ns / kItersPerBatch);
   }
-  return 20000;
+  return std::max(0.5, best_ns);
 }
 
 }  // namespace
 
 std::uint32_t SeedSpinBudget() {
-  static const std::uint32_t budget = ReadSeed();
+  static const auto budget =
+      static_cast<std::uint32_t>(std::max(1.0, std::round(kSeedSpinNs / SpinIterationNs())));
   return budget;
 }
 

@@ -1,18 +1,14 @@
-// Spin-budget seed.
+// Spin-then-park budget, in the paper's unit.
 //
-// The paper sets the spin-then-park budget to "approximately 20000 cycles,
-// an empirically derived estimate of the average round-trip context switch
-// time" (§5.1); Karlin/Lim show spinning for one context-switch round trip
-// before parking is 2-competitive. The seed is that constant, 20000 spin
-// iterations, and MALTHUS_SPIN_BUDGET overrides it. It is a constant rather
-// than a start-up measurement of the round trip, so constructing a lock
-// neither spawns a thread nor blocks, and the answer does not move with
-// the load on the host.
-//
-// The seed is only where a lock starts and the most it may spin: per-lock
-// budgets adapt at runtime via waiting/spin_budget.h, which tracks an EMA
-// of each lock's actually observed parked-handover latency and re-derives
-// the budget from it using SpinIterationNs().
+// The paper spins "approximately 20000 cycles, an empirically derived
+// estimate of the average round-trip context switch time" (§5.1) before it
+// parks; Karlin/Lim show that spinning for one context-switch round trip
+// and then parking is 2-competitive. 20,000 cycles is 10 µs at 2 GHz, so
+// the seed is 10 µs of spinning, converted once into spin-loop iterations
+// with SpinIterationNs(). Every spin-then-park lock spins that many
+// iterations unless its options pin another count; nothing adapts it at
+// run time. It is a time, not a start-up measurement of the round trip, so
+// constructing a lock neither spawns a thread nor blocks.
 #ifndef MALTHUS_SRC_PLATFORM_CALIBRATE_H_
 #define MALTHUS_SRC_PLATFORM_CALIBRATE_H_
 
@@ -20,13 +16,14 @@
 
 namespace malthus {
 
-// MALTHUS_SPIN_BUDGET when set to a positive integer, 20000 otherwise, in
-// spin iterations. Read on first call, cached thereafter. Thread-safe.
+// 10 µs of spinning in spin-loop iterations: 10 µs / SpinIterationNs(),
+// rounded, at least 1. Computed on first call, cached thereafter.
+// Thread-safe.
 std::uint32_t SeedSpinBudget();
 
-// Measured cost of one polite spin-loop iteration (CpuRelax + load), in
-// nanoseconds. Measured on first call (tens of µs), cached thereafter.
-// Thread-safe.
+// Measured cost of one CpuRelax(), the bulk of a spin-loop iteration, in
+// nanoseconds. Measured on first call (10,000 iterations, ~0.2 ms), cached
+// thereafter. Thread-safe.
 double SpinIterationNs();
 
 }  // namespace malthus

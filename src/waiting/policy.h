@@ -20,9 +20,9 @@
 //
 // Each policy provides:
 //   Await(flag, expected, parker, budget)
-//     — block until *flag != expected. `budget` is either a raw iteration
-//       count or an AdaptiveSpinBudget the policy both consults and feeds
-//       with observed parked-handover latencies.
+//     — block until *flag != expected. `budget` is the lock's spin budget
+//       in spin-loop iterations (SeedSpinBudget(), about 10 µs, unless the
+//       lock's options pin another count; see platform/calibrate.h).
 //   Wake(parker) / Wake(ParkerRef)
 //     — called by the granter after the flag write; a no-op for pure
 //       spinning. Granters that may outlive the waiter's thread pass a
@@ -54,7 +54,6 @@
 #include "src/platform/sysinfo.h"
 #include "src/platform/thread_registry.h"
 #include "src/waiting/backoff.h"
-#include "src/waiting/spin_budget.h"
 
 namespace malthus {
 
@@ -154,16 +153,10 @@ struct SpinPolicy {
 
   template <typename T>
   static void Await(const std::atomic<T>& flag, T expected_while_waiting, Parker& /*parker*/,
-                    std::uint32_t /*spin_budget*/ = kDefaultSpinBudget) {
+                    std::uint32_t /*spin_budget*/) {
     while (flag.load(std::memory_order_acquire) == expected_while_waiting) {
       CpuRelax();
     }
-  }
-
-  template <typename T>
-  static void Await(const std::atomic<T>& flag, T expected_while_waiting, Parker& parker,
-                    AdaptiveSpinBudget& /*budget*/) {
-    Await(flag, expected_while_waiting, parker);
   }
 
   // Deadline-bounded wait: true iff *flag != expected was observed. On
@@ -172,16 +165,9 @@ struct SpinPolicy {
   template <typename T>
   static bool AwaitUntil(const std::atomic<T>& flag, T expected_while_waiting, Parker& /*parker*/,
                          std::chrono::steady_clock::time_point deadline,
-                         std::uint32_t /*spin_budget*/ = kDefaultSpinBudget) {
+                         std::uint32_t /*spin_budget*/) {
     return detail::SpinUntil(flag, expected_while_waiting, deadline,
                              /*yield_when_oversubscribed=*/false);
-  }
-
-  template <typename T>
-  static bool AwaitUntil(const std::atomic<T>& flag, T expected_while_waiting, Parker& parker,
-                         std::chrono::steady_clock::time_point deadline,
-                         AdaptiveSpinBudget& /*budget*/) {
-    return AwaitUntil(flag, expected_while_waiting, parker, deadline);
   }
 
   static void Wake(Parker& /*parker*/) {}
@@ -206,12 +192,12 @@ inline std::uint64_t TotalSpinYieldEscalations() {
 // descheduled, and every further spin iteration only lengthens its wait:
 // each preempted handover then costs a full preemption tick (the pathology
 // that makes the pure-spin suites hang on 1-CPU hosts). The policy then
-// grants one last bounded grace burst (capped at the adaptive budget, which
-// observes how long escalated waits actually take) and degrades to
-// YieldingBackoff's bounded spin-then-sched_yield bursts, de-escalating
-// back to pure spinning if the spinner population drains below the CPU
-// count mid-wait. Never parks: Wake stays a no-op and granters never pay a
-// futex syscall, preserving the -S cost model.
+// grants one last bounded grace burst (the lock's spin budget, at most
+// kMaxGraceSpin iterations) and degrades to YieldingBackoff's bounded
+// spin-then-sched_yield bursts, de-escalating back to pure spinning if the
+// spinner population drains below the CPU count mid-wait. Never parks: Wake
+// stays a no-op and granters never pay a futex syscall, preserving the -S
+// cost model.
 struct YieldingSpinPolicy {
   static constexpr bool kParks = false;
 
@@ -225,62 +211,12 @@ struct YieldingSpinPolicy {
   static constexpr std::uint32_t kMaxGraceSpin = 4096;
 
   template <typename T>
-  static void Await(const std::atomic<T>& flag, T expected_while_waiting, Parker& parker,
-                    std::uint32_t spin_budget = kDefaultSpinBudget) {
-    AwaitImpl(flag, expected_while_waiting, parker, spin_budget, nullptr);
-  }
-
-  // Adaptive variant: the budget bounds the grace burst, and escalated
-  // waits feed their observed grant latency back into the EMA — the same
-  // "cost of waiting after ceding the CPU" quantity STP feeds from parked
-  // handovers — so instrumentation (samples/ema_ns) reflects reality and
-  // the grace burst tracks what escalated grants actually cost.
-  template <typename T>
-  static void Await(const std::atomic<T>& flag, T expected_while_waiting, Parker& parker,
-                    AdaptiveSpinBudget& budget) {
-    AwaitImpl(flag, expected_while_waiting, parker, budget.Get(), &budget);
-  }
-
-  // Deadline-bounded wait. Participates in the spinner gauge (so untimed
-  // YieldingSpin waiters see timed ones as pressure) and cedes the CPU per
-  // slice while oversubscribed.
-  template <typename T>
-  static bool AwaitUntil(const std::atomic<T>& flag, T expected_while_waiting, Parker& /*parker*/,
-                         std::chrono::steady_clock::time_point deadline,
-                         std::uint32_t /*spin_budget*/ = kDefaultSpinBudget) {
-    detail::g_active_spinners.fetch_add(1, std::memory_order_relaxed);
-    const bool observed = detail::SpinUntil(flag, expected_while_waiting, deadline,
-                                            /*yield_when_oversubscribed=*/true);
-    detail::g_active_spinners.fetch_sub(1, std::memory_order_relaxed);
-    return observed;
-  }
-
-  template <typename T>
-  static bool AwaitUntil(const std::atomic<T>& flag, T expected_while_waiting, Parker& parker,
-                         std::chrono::steady_clock::time_point deadline,
-                         AdaptiveSpinBudget& /*budget*/) {
-    return AwaitUntil(flag, expected_while_waiting, parker, deadline);
-  }
-
-  static void Wake(Parker& /*parker*/) {}
-  static void Wake(const ParkerRef& /*ref*/) {}
-
- private:
-  static bool Oversubscribed() {
-    return detail::g_active_spinners.load(std::memory_order_relaxed) >=
-           static_cast<std::uint32_t>(EffectiveCpuCount());
-  }
-
-  template <typename T>
-  static void AwaitImpl(const std::atomic<T>& flag, T expected_while_waiting, Parker& /*parker*/,
-                        std::uint32_t spin_budget, AdaptiveSpinBudget* budget) {
+  static void Await(const std::atomic<T>& flag, T expected_while_waiting, Parker& /*parker*/,
+                    std::uint32_t spin_budget) {
     if (flag.load(std::memory_order_acquire) != expected_while_waiting) {
       return;
     }
     detail::g_active_spinners.fetch_add(1, std::memory_order_relaxed);
-    const bool timing = budget != nullptr;
-    const auto wait_begin =
-        timing ? std::chrono::steady_clock::now() : std::chrono::steady_clock::time_point{};
     bool ever_escalated = false;
     bool yielding = false;
     std::uint32_t probe = 0;
@@ -318,14 +254,29 @@ struct YieldingSpinPolicy {
       }
     }
     detail::g_active_spinners.fetch_sub(1, std::memory_order_relaxed);
-    // Only escalated waits feed the EMA, mirroring SpinThenParkPolicy's
-    // parked-round filter: a grant that lands during pure spinning is not
-    // an observation of post-descheduling grant latency.
-    if (timing && ever_escalated) {
-      const auto elapsed = std::chrono::steady_clock::now() - wait_begin;
-      budget->RecordParkedHandoverNs(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed).count());
-    }
+  }
+
+  // Deadline-bounded wait. Participates in the spinner gauge (so untimed
+  // YieldingSpin waiters see timed ones as pressure) and cedes the CPU per
+  // slice while oversubscribed.
+  template <typename T>
+  static bool AwaitUntil(const std::atomic<T>& flag, T expected_while_waiting, Parker& /*parker*/,
+                         std::chrono::steady_clock::time_point deadline,
+                         std::uint32_t /*spin_budget*/) {
+    detail::g_active_spinners.fetch_add(1, std::memory_order_relaxed);
+    const bool observed = detail::SpinUntil(flag, expected_while_waiting, deadline,
+                                            /*yield_when_oversubscribed=*/true);
+    detail::g_active_spinners.fetch_sub(1, std::memory_order_relaxed);
+    return observed;
+  }
+
+  static void Wake(Parker& /*parker*/) {}
+  static void Wake(const ParkerRef& /*ref*/) {}
+
+ private:
+  static bool Oversubscribed() {
+    return detail::g_active_spinners.load(std::memory_order_relaxed) >=
+           static_cast<std::uint32_t>(EffectiveCpuCount());
   }
 };
 
@@ -334,16 +285,27 @@ struct SpinThenParkPolicy {
 
   template <typename T>
   static void Await(const std::atomic<T>& flag, T expected_while_waiting, Parker& parker,
-                    std::uint32_t spin_budget = kDefaultSpinBudget) {
-    AwaitImpl(flag, expected_while_waiting, parker, spin_budget, nullptr);
-  }
-
-  // Adaptive variant: consults budget.Get() for the spin phase and feeds
-  // the observed parked-handover latency back into the EMA.
-  template <typename T>
-  static void Await(const std::atomic<T>& flag, T expected_while_waiting, Parker& parker,
-                    AdaptiveSpinBudget& budget) {
-    AwaitImpl(flag, expected_while_waiting, parker, budget.Get(), &budget);
+                    std::uint32_t spin_budget) {
+    // Phase 1: optimistic local spinning, betting that a grant arrives within
+    // roughly a context-switch round trip.
+    for (std::uint32_t i = 0; i < spin_budget; ++i) {
+      if (flag.load(std::memory_order_acquire) != expected_while_waiting) {
+        return;
+      }
+      CpuRelax();
+    }
+    // Phase 2: park. Park() may consume a stale permit from a previous grant
+    // cycle or a wake-ahead hint from the current owner, so the condition is
+    // always re-checked — and after any wake the waiter re-spins before
+    // re-parking, so a wake-ahead converts the coming grant into a
+    // zero-syscall handover.
+    const std::uint32_t respin = std::max(spin_budget, kMinPostWakeSpin);
+    while (flag.load(std::memory_order_acquire) == expected_while_waiting) {
+      parker.Park();
+      PostWakeRespin(respin, [&] {
+        return flag.load(std::memory_order_acquire) != expected_while_waiting;
+      });
+    }
   }
 
   // Deadline-bounded spin-then-park: bounded spin, then ParkFor(remaining)
@@ -355,7 +317,7 @@ struct SpinThenParkPolicy {
   template <typename T>
   static bool AwaitUntil(const std::atomic<T>& flag, T expected_while_waiting, Parker& parker,
                          std::chrono::steady_clock::time_point deadline,
-                         std::uint32_t spin_budget = kDefaultSpinBudget) {
+                         std::uint32_t spin_budget) {
     for (std::uint32_t i = 0; i < spin_budget; ++i) {
       if (flag.load(std::memory_order_acquire) != expected_while_waiting) {
         return true;
@@ -379,55 +341,8 @@ struct SpinThenParkPolicy {
     return true;
   }
 
-  template <typename T>
-  static bool AwaitUntil(const std::atomic<T>& flag, T expected_while_waiting, Parker& parker,
-                         std::chrono::steady_clock::time_point deadline,
-                         AdaptiveSpinBudget& budget) {
-    return AwaitUntil(flag, expected_while_waiting, parker, deadline, budget.Get());
-  }
-
   static void Wake(Parker& parker) { parker.Unpark(); }
   static void Wake(const ParkerRef& ref) { ref.Unpark(); }
-
- private:
-  template <typename T>
-  static void AwaitImpl(const std::atomic<T>& flag, T expected_while_waiting, Parker& parker,
-                        std::uint32_t spin_budget, AdaptiveSpinBudget* budget) {
-    // Phase 1: optimistic local spinning, betting that a grant arrives within
-    // roughly a context-switch round trip.
-    for (std::uint32_t i = 0; i < spin_budget; ++i) {
-      if (flag.load(std::memory_order_acquire) != expected_while_waiting) {
-        return;
-      }
-      CpuRelax();
-    }
-    // Phase 2: park. Park() may consume a stale permit from a previous grant
-    // cycle or a wake-ahead hint from the current owner, so the condition is
-    // always re-checked — and after any wake the waiter re-spins before
-    // re-parking, so a wake-ahead converts the coming grant into a
-    // zero-syscall handover.
-    const bool timing = budget != nullptr;
-    const auto park_begin =
-        timing ? std::chrono::steady_clock::now() : std::chrono::steady_clock::time_point{};
-    const std::uint32_t respin = std::max(spin_budget, kMinPostWakeSpin);
-    bool parked = false;
-    while (flag.load(std::memory_order_acquire) == expected_while_waiting) {
-      parked = true;
-      parker.Park();
-      PostWakeRespin(respin, [&] {
-        return flag.load(std::memory_order_acquire) != expected_while_waiting;
-      });
-    }
-    // Only rounds that really parked feed the EMA: a grant that lands just
-    // after the spin phase would otherwise record a ~0 ns "handover" and
-    // drag the budget toward the floor in exactly the regime where grants
-    // arrive at the budget boundary.
-    if (timing && parked) {
-      const auto elapsed = std::chrono::steady_clock::now() - park_begin;
-      budget->RecordParkedHandoverNs(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed).count());
-    }
-  }
 };
 
 struct ParkPolicy {
@@ -435,32 +350,19 @@ struct ParkPolicy {
 
   template <typename T>
   static void Await(const std::atomic<T>& flag, T expected_while_waiting, Parker& parker,
-                    std::uint32_t /*spin_budget*/ = 0) {
+                    std::uint32_t /*spin_budget*/) {
     while (flag.load(std::memory_order_acquire) == expected_while_waiting) {
       parker.Park();
     }
-  }
-
-  template <typename T>
-  static void Await(const std::atomic<T>& flag, T expected_while_waiting, Parker& parker,
-                    AdaptiveSpinBudget& /*budget*/) {
-    Await(flag, expected_while_waiting, parker);
   }
 
   // Deadline-bounded prompt parking (STP with zero spin budget).
   template <typename T>
   static bool AwaitUntil(const std::atomic<T>& flag, T expected_while_waiting, Parker& parker,
                          std::chrono::steady_clock::time_point deadline,
-                         std::uint32_t /*spin_budget*/ = 0) {
+                         std::uint32_t /*spin_budget*/) {
     return SpinThenParkPolicy::AwaitUntil(flag, expected_while_waiting, parker, deadline,
                                           /*spin_budget=*/0u);
-  }
-
-  template <typename T>
-  static bool AwaitUntil(const std::atomic<T>& flag, T expected_while_waiting, Parker& parker,
-                         std::chrono::steady_clock::time_point deadline,
-                         AdaptiveSpinBudget& /*budget*/) {
-    return AwaitUntil(flag, expected_while_waiting, parker, deadline);
   }
 
   static void Wake(Parker& parker) { parker.Unpark(); }

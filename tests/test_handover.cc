@@ -1,14 +1,11 @@
-// Wake-ahead succession (anticipatory handover) and adaptive spin budget:
-// Parker's WakeAhead()/elided-wake accounting, PrepareHandover() across the
-// lock families, the HandoverLockGuard opt-in, the ParkFor timeout/permit
-// race, and EMA convergence of the per-lock spin budget.
+// Wake-ahead succession (anticipatory handover): Parker's
+// WakeAhead()/elided-wake accounting, PrepareHandover() across the lock
+// families, the HandoverLockGuard opt-in, and the ParkFor timeout/permit
+// race.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
-#include <cmath>
-#include <cstdlib>
-#include <limits>
 #include <thread>
 
 #include "src/core/cr_semaphore.h"
@@ -19,9 +16,7 @@
 #include "src/locks/handover_guard.h"
 #include "src/locks/mcs.h"
 #include "src/locks/pthread_style.h"
-#include "src/platform/calibrate.h"
 #include "src/platform/park.h"
-#include "src/waiting/spin_budget.h"
 #include "tests/contention.h"
 
 namespace malthus {
@@ -393,120 +388,6 @@ TEST(PreparePost, NoWaitersIsANoOp) {
   const std::uint64_t aheads_before = TotalWakeAheads();
   sem.PreparePost();
   EXPECT_EQ(TotalWakeAheads(), aheads_before);
-}
-
-// ---------------------------------------------------------------------------
-// AdaptiveSpinBudget.
-
-TEST(AdaptiveSpinBudget, SeedsFromSeedSpinBudget) {
-  AdaptiveSpinBudget budget;
-  EXPECT_TRUE(budget.adaptive());
-  EXPECT_EQ(budget.Get(), SeedSpinBudget());
-  if (std::getenv("MALTHUS_SPIN_BUDGET") == nullptr) {
-    EXPECT_EQ(budget.Get(), 20000u);
-  }
-  EXPECT_EQ(budget.samples(), 0u);
-}
-
-TEST(AdaptiveSpinBudget, PinDisablesAdaptation) {
-  AdaptiveSpinBudget budget(123);
-  EXPECT_FALSE(budget.adaptive());
-  EXPECT_EQ(budget.Get(), 123u);
-  budget.RecordParkedHandoverNs(10'000'000);
-  EXPECT_EQ(budget.Get(), 123u);
-  EXPECT_EQ(budget.samples(), 0u);
-  budget.Reset(kAutoSpinBudget);
-  EXPECT_TRUE(budget.adaptive());
-}
-
-TEST(AdaptiveSpinBudget, EmaConvergesOnSyntheticSeries) {
-  AdaptiveSpinBudget budget;
-  constexpr std::int64_t kTargetNs = 2'000'000;  // 2 ms parked handovers.
-  for (int i = 0; i < 64; ++i) {
-    budget.RecordParkedHandoverNs(kTargetNs);
-  }
-  EXPECT_EQ(budget.samples(), 64u);
-  // First sample seeds the EMA directly, so convergence is exact here.
-  EXPECT_EQ(budget.ema_ns(), kTargetNs);
-  const double expected_iters =
-      AdaptiveSpinBudget::kSafetyFactor * static_cast<double>(kTargetNs) / SpinIterationNs();
-  const double clamped = std::min<double>(
-      std::max<double>(expected_iters, AdaptiveSpinBudget::kMinBudget),
-      static_cast<double>(budget.cap()));
-  EXPECT_NEAR(static_cast<double>(budget.Get()), clamped, clamped * 0.01 + 1.0);
-}
-
-TEST(AdaptiveSpinBudget, GrowthIsCappedAtSeed) {
-  // Spinning longer than the park round trip is never rational, and an
-  // uncapped EMA feedback loop spirals on oversubscribed hosts — observed
-  // handover latency includes the very scheduling delay long spins create.
-  AdaptiveSpinBudget budget;
-  EXPECT_EQ(budget.cap(), std::min(SeedSpinBudget(), AdaptiveSpinBudget::kMaxBudget));
-  if (std::getenv("MALTHUS_SPIN_BUDGET") == nullptr) {
-    EXPECT_EQ(budget.cap(), 20000u);
-  }
-  for (int i = 0; i < 32; ++i) {
-    budget.RecordParkedHandoverNs(40'000'000);  // Pathological 40 ms samples.
-  }
-  EXPECT_LE(budget.Get(), budget.cap());
-}
-
-TEST(AdaptiveSpinBudget, EmaTracksShiftingSeries) {
-  AdaptiveSpinBudget budget;
-  // A phase of slow (5 ms) handovers pins the budget at its cap, then a
-  // shift to fast (100 ns) ones — wake-ahead landing every time. The EMA
-  // must follow downward and drag the budget below the cap: 100 ns times
-  // the safety factor lands under the kMinBudget floor for any plausible
-  // spin-iteration cost, and the floor sits below the seed cap.
-  for (int i = 0; i < 32; ++i) {
-    budget.RecordParkedHandoverNs(5'000'000);
-  }
-  const std::uint32_t slow_budget = budget.Get();
-  EXPECT_EQ(slow_budget, budget.cap());
-  for (int i = 0; i < 128; ++i) {
-    budget.RecordParkedHandoverNs(100);
-  }
-  const std::uint32_t fast_budget = budget.Get();
-  EXPECT_LT(fast_budget, slow_budget);
-  // After 128 folds of alpha=1/8 the slow phase's residue is (7/8)^128 of
-  // 5 ms ≈ 0.2 ns — the EMA must sit at the new 100 ns level.
-  EXPECT_LT(budget.ema_ns(), 300);
-  EXPECT_GE(budget.ema_ns(), 100);
-}
-
-TEST(AdaptiveSpinBudget, OutlierSamplesAreClamped) {
-  AdaptiveSpinBudget budget;
-  budget.RecordParkedHandoverNs(std::numeric_limits<std::int64_t>::max());
-  EXPECT_LE(budget.ema_ns(), 50'000'000);  // kMaxSampleNs
-  EXPECT_LE(budget.Get(), AdaptiveSpinBudget::kMaxBudget);
-}
-
-TEST(AdaptiveSpinBudget, LockFeedsBudgetFromParkedHandovers) {
-  // End to end: a lock under forced-park handovers accumulates EMA samples.
-  McscrLock<SpinThenParkPolicy> lock;  // Adaptive by default.
-  std::atomic<bool> done{false};
-  std::atomic<std::uint64_t> acquisitions{0};
-  std::thread t([&] {
-    while (!done.load(std::memory_order_acquire)) {
-      lock.lock();
-      acquisitions.fetch_add(1, std::memory_order_relaxed);
-      lock.unlock();
-    }
-  });
-  const auto deadline = std::chrono::steady_clock::now() + 5s;
-  while (std::chrono::steady_clock::now() < deadline &&
-         lock.spin_budget().samples() == 0) {
-    lock.lock();
-    std::this_thread::sleep_for(8ms);  // Long hold: partner exhausts budget and parks.
-    lock.unlock();
-    std::this_thread::sleep_for(1ms);
-  }
-  done.store(true, std::memory_order_release);
-  t.join();
-  // With an 8ms hold the partner must park at least once (even the clamp
-  // ceiling of 2^20 iterations is spent in a few ms), producing a sample.
-  EXPECT_GT(lock.spin_budget().samples(), 0u);
-  EXPECT_GT(lock.spin_budget().ema_ns(), 0);
 }
 
 }  // namespace
