@@ -26,7 +26,7 @@ namespace malthus {
 
 struct CrSemaphoreOptions {
   double append_probability = 1.0;  // 1.0 = FIFO, 0.0 = LIFO
-  // Spin iterations before a waiter parks; the default is 10 µs of
+  // Spin iterations before a waiter parks; the default is 100 µs of
   // spinning (SeedSpinBudget()).
   std::uint32_t spin_budget = SeedSpinBudget();
 };

@@ -49,8 +49,8 @@ struct McscrOptions {
   // Max culls per unlock. 0 disables CR entirely (degenerates to MCS);
   // UINT32_MAX drains all surplus in one unlock.
   std::uint32_t cull_limit = 1;
-  // Spin iterations before a waiter parks. The default is the paper's
-  // ~20,000 cycles, 10 µs (SeedSpinBudget()); the ablation benches and tests
+  // Spin iterations before a waiter parks. The default is one park-and-wake
+  // round trip, 100 µs (SeedSpinBudget()); the ablation benches and tests
   // pin other counts.
   std::uint32_t spin_budget = SeedSpinBudget();
   // Anticipatory warmup (paper §5.1, optional): when handing off, also

@@ -12,8 +12,9 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-// The paper's ~20,000 cycles at 2 GHz.
-constexpr double kSeedSpinNs = 10'000.0;
+// One park-and-wake round trip on a virtual machine whose vCPUs have been
+// idle (see calibrate.h).
+constexpr double kSeedSpinNs = 100'000.0;
 
 // The fastest of several short batches: a preemption or a stolen tick
 // inflates one batch, not the answer.

@@ -21,7 +21,7 @@
 // Each policy provides:
 //   Await(flag, expected, parker, budget)
 //     — block until *flag != expected. `budget` is the lock's spin budget
-//       in spin-loop iterations (SeedSpinBudget(), about 10 µs, unless the
+//       in spin-loop iterations (SeedSpinBudget(), about 100 µs, unless the
 //       lock's options pin another count; see platform/calibrate.h).
 //   Wake(parker) / Wake(ParkerRef)
 //     — called by the granter after the flag write; a no-op for pure

@@ -175,15 +175,15 @@ TEST(EffectiveCpus, TestingOverrideRoundTrips) {
   EXPECT_EQ(EffectiveCpuCount(), measured);
 }
 
-TEST(SpinBudget, SeedSpinsAboutTwentyThousandCycles) {
-  // The paper's ~20,000 cycles is 10 µs at 2 GHz. The seed is that time in
-  // spin-loop iterations, so its duration must not depend on the host's
+TEST(SpinBudget, SeedSpinsOneParkWakeRoundTrip) {
+  // The seed is 100 µs, one park-and-wake round trip on a virtual machine,
+  // in spin-loop iterations, so its duration must not depend on the host's
   // iteration cost.
   const std::uint32_t seed = SeedSpinBudget();
   EXPECT_GE(seed, 1u);
   const double spin_us = static_cast<double>(seed) * SpinIterationNs() / 1000.0;
-  EXPECT_GE(spin_us, 5.0) << "seed " << seed << " x " << SpinIterationNs() << " ns";
-  EXPECT_LE(spin_us, 20.0) << "seed " << seed << " x " << SpinIterationNs() << " ns";
+  EXPECT_GE(spin_us, 50.0) << "seed " << seed << " x " << SpinIterationNs() << " ns";
+  EXPECT_LE(spin_us, 200.0) << "seed " << seed << " x " << SpinIterationNs() << " ns";
   EXPECT_EQ(SeedSpinBudget(), seed);  // Cached.
 }
 
