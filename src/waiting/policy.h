@@ -207,8 +207,8 @@ struct YieldingSpinPolicy {
 
   // Ceiling on the post-detection grace burst. The grace hedge is "the
   // grant may be a few hundred ns away; don't pay a yield for it" — a few
-  // thousand iterations cover that; anything longer is tick-bound anyway.
-  static constexpr std::uint32_t kMaxGraceSpin = 4096;
+  // hundred iterations cover that; anything longer is tick-bound anyway.
+  static constexpr std::uint32_t kMaxGraceSpin = 512;
 
   template <typename T>
   static void Await(const std::atomic<T>& flag, T expected_while_waiting, Parker& /*parker*/,
