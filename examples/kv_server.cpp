@@ -11,8 +11,8 @@
 //
 //   build/kv_server [rate_multiple] [on|off] [lock] [seconds]
 //
-// `lock` is one of the backend's locks: tas, pthread-style, mcs-stp, or
-// mcscr-stp (the default).
+// `lock` is one of the backend's locks: mcs-stp or mcscr-stp (the
+// default).
 #include <algorithm>
 #include <chrono>
 #include <cstdio>

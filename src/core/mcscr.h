@@ -53,14 +53,6 @@ struct McscrOptions {
   // round trip, 100 µs (SeedSpinBudget()); the ablation benches and tests
   // pin other counts.
   std::uint32_t spin_budget = SeedSpinBudget();
-  // Anticipatory warmup (paper §5.1, optional): when handing off, also
-  // unpark the waiter *behind* the successor so that by the time it is
-  // granted it is spinning rather than blocked in the kernel. Increases the
-  // odds that direct handoff lands on a runnable thread, at the cost of one
-  // (possibly kernel-entering) unpark inside the critical section.
-  // Complementary to PrepareHandover(), which warms the *current* heir from
-  // the owner's critical-section tail.
-  bool anticipatory_warmup = false;
 };
 
 template <typename WaitPolicy>
@@ -264,19 +256,6 @@ class McscrLock {
         }
         next = after;
       }
-      if (opts_.anticipatory_warmup && WaitPolicy::kParks) {
-        // The chain pins `heir` (its thread is waiting), so the validated
-        // poke lands on the right tenancy; a stale permit is benign if it
-        // gets culled instead.
-        QNode* heir = next->next.load(std::memory_order_acquire);
-        if (heir != nullptr) {
-          // Plain Unpark, not WakeAhead: warmups_ is this feature's own
-          // instrument, and the wake-ahead counters should only tick for
-          // callers that opted into PrepareHandover().
-          heir->wake_ref().Unpark();
-          warmups_.fetch_add(1, std::memory_order_relaxed);
-        }
-      }
       // Chaos: widen the grant-vs-cancel window before committing.
       MALTHUS_FAILPOINT("mcscr.grant");
       // Pre-read the generation-validated wake channel; speculative owner_
@@ -311,7 +290,6 @@ class McscrLock {
   std::uint64_t fairness_grants() const {
     return fairness_grants_.load(std::memory_order_relaxed);
   }
-  std::uint64_t warmups() const { return warmups_.load(std::memory_order_relaxed); }
   std::size_t passive_set_size() const { return ps_size_.load(std::memory_order_relaxed); }
   // Acquisitions that timed out and self-removed.
   std::uint64_t timeouts() const { return timeouts_.load(std::memory_order_relaxed); }
@@ -486,7 +464,6 @@ class McscrLock {
   std::atomic<std::uint64_t> culls_{0};
   std::atomic<std::uint64_t> reprovisions_{0};
   std::atomic<std::uint64_t> fairness_grants_{0};
-  std::atomic<std::uint64_t> warmups_{0};
   std::atomic<std::uint64_t> timeouts_{0};
   std::atomic<std::uint64_t> cancelled_reclaims_{0};
   std::atomic<AdmissionLog*> recorder_{nullptr};

@@ -130,19 +130,17 @@ std::uint64_t OutstandingZombieQNodes();
 
 // Reaps the calling thread's reclaimed zombies back into its pool without
 // waiting for the next AcquireQNode(), and returns how many of this
-// thread's zombies remain pinned by a granter. Threads that churn through
-// timed acquisitions and then *exit* (short-lived pool workers) call this
-// in a bounded retry loop before retiring: zombies still pinned at arena
-// teardown are handed to the process-wide orphanage rather than leaked
-// (see NodeArena::~NodeArena), so a non-zero return here is a latency
-// concern, not a leak.
+// thread's zombies remain pinned by a granter. A thread need not call it
+// before exiting: arena teardown reaps once more and hands zombies still
+// pinned to the process-wide orphanage rather than leaking them (see
+// NodeArena::~NodeArena), so a non-zero return here is a latency concern,
+// not a leak.
 std::size_t ReapZombieQNodes();
 
 // Scans the orphanage — zombie nodes whose owning thread exited before a
 // granter released its pin — and returns every node whose status reads
 // kReclaimed (acquire) to the slab, decrementing the zombie gauge. Any
-// thread may call this; KvServer::Stop() drains through it. Returns the
-// number of nodes reclaimed by this call.
+// thread may call this. Returns the number of nodes reclaimed by this call.
 std::size_t ScavengeOrphanQNodes();
 
 // Orphaned zombie nodes currently parked in the orphanage (subset of

@@ -6,10 +6,7 @@
 
 #include "src/core/mcscr.h"
 #include "src/locks/mcs.h"
-#include "src/locks/pthread_style.h"
-#include "src/locks/tas.h"
 #include "src/minidb/minidb.h"
-#include "src/sharded/sharded_kchash.h"
 #include "src/sharded/sharded_lru.h"
 #include "src/sharded/sharded_table.h"
 
@@ -19,8 +16,6 @@ namespace {
 // Shared sizing across the backend family so throughput comparisons across
 // {structure × lock × shards} hold the working set constant.
 constexpr std::size_t kMiniDbCacheBlocks = 4096;
-constexpr std::size_t kKcHashBuckets = 1 << 16;
-constexpr std::size_t kKcHashCapacity = 1 << 15;
 constexpr std::size_t kLruCapacity = 1 << 15;
 
 std::string EncodeValue(std::uint64_t value) {
@@ -60,29 +55,6 @@ class MiniDbBackend final : public KvBackend {
 };
 
 template <typename Lock>
-class KcHashBackend final : public KvBackend {
- public:
-  explicit KcHashBackend(std::size_t shards)
-      : db_(kKcHashBuckets, kKcHashCapacity, shards) {}
-
-  void Put(std::uint64_t key, std::uint64_t value, std::uint32_t /*tid*/) override {
-    db_.Set(key, EncodeValue(value));
-  }
-  bool Get(std::uint64_t key, std::uint64_t* value, std::uint32_t /*tid*/) override {
-    auto v = db_.Get(key);
-    if (!v.has_value()) {
-      return false;
-    }
-    *value = DecodeValue(*v);
-    return true;
-  }
-  std::size_t shards() const override { return db_.shard_count(); }
-
- private:
-  ShardedKcHash<Lock> db_;
-};
-
-template <typename Lock>
 class LruBackend final : public KvBackend {
  public:
   explicit LruBackend(std::size_t shards)
@@ -117,9 +89,6 @@ std::unique_ptr<KvBackend> MakeWithLock(std::string_view structure,
   if (structure == "minidb") {
     return std::make_unique<MiniDbBackend<Lock>>(shards);
   }
-  if (structure == "kchash") {
-    return std::make_unique<KcHashBackend<Lock>>(shards);
-  }
   if (structure == "lru") {
     return std::make_unique<LruBackend<Lock>>(shards);
   }
@@ -137,12 +106,6 @@ std::unique_ptr<KvBackend> MakeBackend(const std::string& structure,
   if (base.starts_with(kShardedPrefix)) {
     base.remove_prefix(kShardedPrefix.size());
     n = shards == 0 ? DefaultShardCount() : shards;
-  }
-  if (lock_name == "tas") {
-    return MakeWithLock<TtasLock>(base, n);
-  }
-  if (lock_name == "pthread-style") {
-    return MakeWithLock<PthreadStyleMutex>(base, n);
   }
   if (lock_name == "mcs-stp") {
     return MakeWithLock<McsStpLock>(base, n);

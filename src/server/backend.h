@@ -1,10 +1,9 @@
 // Type-erased KV backend: the hot shared structure the server's workers
-// contend on. One adapter per structure — minidb (memtable + block cache),
-// kchash (Kyoto-style hash cache), lru (CEPH-style LRU) — each built on
-// ShardedTable (one Malthusian lock per shard; for minidb, the block
-// cache's). The unsharded names are the same adapters at one shard, where
-// the sharded classes behave exactly like the single-lock originals
-// (tests/test_sharded.cc, docs/sharding.md).
+// contend on. One adapter per structure — minidb (memtable + block cache)
+// and lru (CEPH-style LRU) — each built on ShardedTable (one Malthusian
+// lock per shard; for minidb, the block cache's). The unsharded names are
+// the same adapters at one shard, where the sharded classes behave exactly
+// like the single-lock originals (tests/test_sharded.cc, docs/sharding.md).
 //
 // The virtual-call overhead is identical across variants (the any_lock.h
 // argument), so relative comparisons across locks, shard counts, and
@@ -42,12 +41,11 @@ class KvBackend {
   virtual std::size_t shards() const = 0;
 };
 
-// Structures: "minidb", "kchash", "lru" (one shard) and
-// "sharded-minidb", "sharded-kchash", "sharded-lru", whose partition
-// count is `shards` (0 = DefaultShardCount(), rounded up to a power of two;
-// ignored by the unsharded names). Locks: "tas", "pthread-style",
-// "mcs-stp", "mcscr-stp" — the ones the server's callers run. Returns
-// nullptr for any other name.
+// Structures: "minidb", "lru" (one shard) and "sharded-minidb",
+// "sharded-lru", whose partition count is `shards` (0 =
+// DefaultShardCount(), rounded up to a power of two; ignored by the
+// unsharded names). Locks: "mcs-stp", "mcscr-stp" — the ones the server's
+// callers run. Returns nullptr for any other name.
 std::unique_ptr<KvBackend> MakeBackend(const std::string& structure,
                                        const std::string& lock_name,
                                        std::size_t shards = 0);

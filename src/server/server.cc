@@ -1,11 +1,8 @@
 #include "src/server/server.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 
 #include "src/chaos/failpoint.h"
-#include "src/locks/lock_base.h"
 #include "src/platform/sysinfo.h"
 #include "src/platform/thread_registry.h"
 
@@ -32,7 +29,6 @@ bool KvServer::Start() {
   if (backend_ == nullptr) {
     return false;
   }
-  zombie_baseline_ = OutstandingZombieQNodes();
   queue_.Restart();
   // The pool is the concurrency restriction: K workers, and no surplus.
   const std::size_t k =
@@ -59,44 +55,6 @@ void KvServer::Stop() {
   workers_.clear();
   for (const ServerRequest& r : queue_.DrainAll()) {
     TenantRef(r.tenant).shed_at_stop.fetch_add(1, std::memory_order_relaxed);
-  }
-  // Teardown hygiene check. Workers reaped their own zombie QNodes before
-  // retiring (WorkerLoop epilogue); husks still pinned at thread exit moved
-  // to the orphanage, where any thread may scavenge them once their
-  // granters store kReclaimed. Drain the gauge back to the Start() baseline
-  // with a progress-tracking loop: keep scavenging as long as the count
-  // keeps dropping, give up only when it stalls for kStallWindow (or the
-  // hard deadline lapses). A gauge stuck above baseline means a granter
-  // never released its pin — a genuine husk leak that would accumulate
-  // across server restarts, so abort rather than mask it.
-  constexpr auto kStallWindow = std::chrono::milliseconds(500);
-  constexpr auto kHardDeadline = std::chrono::seconds(5);
-  const auto drain_start = std::chrono::steady_clock::now();
-  std::uint64_t last = OutstandingZombieQNodes();
-  auto last_progress = drain_start;
-  while (last > zombie_baseline_) {
-    ScavengeOrphanQNodes();
-    const std::uint64_t gauge = OutstandingZombieQNodes();
-    const auto now = std::chrono::steady_clock::now();
-    if (gauge < last) {
-      last = gauge;
-      last_progress = now;
-      continue;
-    }
-    if (now - last_progress >= kStallWindow || now - drain_start >= kHardDeadline) {
-      break;
-    }
-    std::this_thread::yield();
-  }
-  ScavengeOrphanQNodes();
-  const std::uint64_t outstanding = OutstandingZombieQNodes();
-  if (outstanding > zombie_baseline_) {
-    std::fprintf(stderr,
-                 "[KvServer] teardown leaked %llu zombie QNode(s) "
-                 "(baseline %llu) — worker churn left timed-waiter husks\n",
-                 static_cast<unsigned long long>(outstanding - zombie_baseline_),
-                 static_cast<unsigned long long>(zombie_baseline_));
-    std::abort();
   }
   running_ = false;
 }
@@ -129,18 +87,6 @@ void KvServer::WorkerLoop() {
     }
     ServeOne(res.request, std::chrono::steady_clock::now());
   }
-  // Worker retirement: short-lived pool threads must not leak timed-waiter
-  // husks. Reap this thread's zombie QNodes (bounded wait for granters to
-  // release their pins — anything still pinned when the thread exits lands
-  // in the orphanage for Stop() to scavenge) and drain any stale permit so
-  // the Parker retires neutral.
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::milliseconds(200);
-  while (ReapZombieQNodes() > 0 &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::yield();
-  }
-  Self().parker.DrainPermit();
 }
 
 void KvServer::ServeOne(const ServerRequest& request,

@@ -13,7 +13,7 @@
 //   K = min(workers, max_inflight) worker threads, and no others
 //        │
 //        ▼
-//   KvBackend (minidb / kchash / lru behind one Malthusian lock)
+//   KvBackend (minidb / lru behind one Malthusian lock)
 //
 // Concurrency restriction at dispatch is a thread count: Start() runs
 // K = min(workers, max_inflight) workers, so only K threads ever take the
@@ -111,12 +111,8 @@ class KvServer {
   // backend combination is unknown. Idempotent while running.
   bool Start();
 
-  // Stops accepting work, joins workers, accounts still-queued requests as
-  // shed, and verifies teardown hygiene: every worker drains its QNode
-  // zombies and Parker permit before retiring; Stop() then scavenges
-  // orphaned husks in a progress-tracking retry loop (bounded stall window
-  // + hard deadline) and aborts only if the zombie gauge is genuinely stuck
-  // above the Start() baseline — i.e. a granter never released its pin.
+  // Stops accepting work, joins the workers, and accounts still-queued
+  // requests as shed_at_stop. Idempotent while stopped.
   void Stop();
 
   bool running() const { return running_; }
@@ -167,7 +163,6 @@ class KvServer {
   mutable std::vector<std::unique_ptr<Tenant>> tenants_;
   std::vector<std::thread> workers_;
   bool running_ = false;
-  std::uint64_t zombie_baseline_ = 0;
 };
 
 }  // namespace malthus

@@ -231,37 +231,6 @@ TEST(Mcscr, NestedMcscrLocksDoNotDeadlockOrCorrupt) {
   EXPECT_EQ(counter, 6u * 3000u);
 }
 
-TEST(Mcscr, AnticipatoryWarmupPreservesCorrectness) {
-  McscrOptions opts;
-  opts.anticipatory_warmup = true;
-  McscrStpLock lock(opts);
-  std::uint64_t counter = 0;
-  std::vector<std::thread> workers;
-  for (int t = 0; t < 8; ++t) {
-    workers.emplace_back([&] {
-      for (int i = 0; i < 10000; ++i) {
-        lock.lock();
-        counter = counter + 1;
-        lock.unlock();
-      }
-    });
-  }
-  for (auto& w : workers) {
-    w.join();
-  }
-  EXPECT_EQ(counter, 8u * 10000u);
-  EXPECT_EQ(lock.passive_set_size(), 0u);
-}
-
-TEST(Mcscr, AnticipatoryWarmupFiresUnderDeepQueues) {
-  McscrOptions opts;
-  opts.anticipatory_warmup = true;
-  opts.cull_limit = 0;  // Keep the chain deep so an heir-after-next exists.
-  McscrStpLock lock(opts);
-  Hammer(lock, 8, std::chrono::milliseconds(200));
-  EXPECT_GT(lock.warmups(), 0u);
-}
-
 TEST(Mcscr, BurstyLoadReprovisionsFromPassiveSet) {
   // Alternating bursts force deficits: when the chain empties, passivated
   // threads must be re-activated rather than stranded.

@@ -2,8 +2,9 @@
 // state machine under a fake clock, admission-queue semantics, server
 // admission accounting, multi-tenant isolation, the worker count (Start()
 // runs min(workers, max_inflight) threads and Stop() joins them all),
-// teardown hygiene (zombie QNode drain), an end-to-end sweep smoke under a
-// stall watchdog, and the server FailPoint sites.
+// teardown (no QNode leak, and no Stop() failure from other locks' timed
+// waiters), an end-to-end sweep smoke under a stall watchdog, and the
+// server FailPoint sites.
 #include <gtest/gtest.h>
 #include <sched.h>
 
@@ -396,8 +397,16 @@ TEST(KvServer, UnknownBackendFailsStart) {
   opts.structure = "no-such-structure";
   KvServer server(opts);
   EXPECT_FALSE(server.Start());
-  // Registry locks no caller runs through the backend are unknown to it.
-  for (const char* lock : {"no-such-lock", "ticket", "throttled-mcs-stp"}) {
+  // Structures and registry locks no caller runs through the backend are
+  // unknown to it.
+  for (const char* structure : {"kchash", "sharded-kchash"}) {
+    opts = KvServerOptions{};
+    opts.structure = structure;
+    KvServer server2(opts);
+    EXPECT_FALSE(server2.Start()) << structure;
+  }
+  for (const char* lock :
+       {"no-such-lock", "ticket", "throttled-mcs-stp", "tas", "pthread-style"}) {
     opts = KvServerOptions{};
     opts.lock_name = lock;
     KvServer server2(opts);
@@ -406,7 +415,7 @@ TEST(KvServer, UnknownBackendFailsStart) {
 }
 
 TEST(KvServer, EveryOfferedRequestIsAccountedExactlyOnce) {
-  for (const char* structure : {"lru", "kchash", "minidb"}) {
+  for (const char* structure : {"lru", "sharded-lru", "minidb"}) {
     KvServer server(SmallServer(structure, "mcs-stp"));
     ASSERT_TRUE(server.Start());
     constexpr int kRequests = 2000;
@@ -430,7 +439,7 @@ TEST(KvServer, EveryOfferedRequestIsAccountedExactlyOnce) {
 }
 
 TEST(KvServer, PerTenantAccountingIsolatesTenants) {
-  KvServerOptions opts = SmallServer("lru", "tas");
+  KvServerOptions opts = SmallServer("lru", "mcs-stp");
   opts.tenants = 3;
   KvServer server(opts);
   ASSERT_TRUE(server.Start());
@@ -458,7 +467,7 @@ TEST(KvServer, PerTenantAccountingIsolatesTenants) {
 }
 
 TEST(KvServer, BurstBeyondQueueCapacityTailDrops) {
-  KvServerOptions opts = SmallServer("lru", "tas");
+  KvServerOptions opts = SmallServer("lru", "mcs-stp");
   opts.queue_capacity = 64;
   opts.workers = 1;
   KvServer server(opts);
@@ -476,7 +485,7 @@ TEST(KvServer, BurstBeyondQueueCapacityTailDrops) {
 }
 
 TEST(KvServer, GetReturnsWhatPutStored) {
-  KvServerOptions opts = SmallServer("kchash", "pthread-style");
+  KvServerOptions opts = SmallServer("minidb", "mcscr-stp");
   opts.tenants = 1;
   KvServer server(opts);
   ASSERT_TRUE(server.Start());
@@ -496,7 +505,7 @@ TEST(KvServer, GetReturnsWhatPutStored) {
 // accounted, some served.
 TEST(KvServer, ShardedBackendsServeAndAccount) {
   for (const char* lock : {"mcs-stp", "mcscr-stp"}) {
-    KvServerOptions opts = SmallServer("sharded-kchash", lock);
+    KvServerOptions opts = SmallServer("sharded-lru", lock);
     opts.backend_shards = 4;
     KvServer server(opts);
     ASSERT_TRUE(server.Start()) << lock;
@@ -520,8 +529,8 @@ TEST(KvServer, ShardedBackendsServeAndAccount) {
 // The whole MakeBackend matrix: every structure × lock pair builds, reports
 // its shard count, and returns what a Put stored.
 TEST(KvBackend, EveryStructureAndLockServesAndReportsShards) {
-  for (const char* lock : {"tas", "pthread-style", "mcs-stp", "mcscr-stp"}) {
-    for (const char* base : {"lru", "kchash", "minidb"}) {
+  for (const char* lock : {"mcs-stp", "mcscr-stp"}) {
+    for (const char* base : {"lru", "minidb"}) {
       for (const bool sharded : {false, true}) {
         const std::string structure =
             sharded ? std::string("sharded-") + base : std::string(base);
@@ -551,7 +560,7 @@ TEST(KvBackend, DisplacementStatsAttributeEvictionsToTids) {
       if (std::string(structure) == "lru" && shards != 1) {
         continue;
       }
-      auto backend = MakeBackend(structure, "tas", shards);
+      auto backend = MakeBackend(structure, "mcs-stp", shards);
       ASSERT_NE(backend, nullptr) << structure;
       // The LRU backends hold 1<<15 entries; push well past capacity from
       // two randomly chosen tids so evictions both cross tid boundaries
@@ -637,10 +646,10 @@ TEST(KvServer, StartsOnlyTheWorkersThatServe) {
 }
 
 TEST(KvServer, StartStopChurnLeaksNothing) {
-  // The teardown satellite: short-lived worker pools must not leak
-  // timed-waiter husks or Parker state. Stop() aborts the process if the
-  // zombie gauge ends above its Start() baseline, so surviving the churn IS
-  // the assertion; the explicit gauge check documents it.
+  // Short-lived worker pools leave no timed-waiter husks behind: no server
+  // thread makes a timed acquire, and an exiting worker hands its QNodes
+  // back to the slab. The process is quiet here, so the zombie gauge must
+  // end where it started.
   const std::uint64_t before = OutstandingZombieQNodes();
   for (int round = 0; round < 5; ++round) {
     KvServerOptions opts = SmallServer("lru", "mcs-stp");
@@ -657,32 +666,40 @@ TEST(KvServer, StartStopChurnLeaksNothing) {
   EXPECT_EQ(OutstandingZombieQNodes(), before);
 }
 
-TEST(WorkerDrain, ReapZombieQNodesClearsTimedWaiterHusks) {
-  // A worker that times out on a queue lock zombies its QNode; the husk is
-  // pinned until the owner's unlock walk reclaims it. A short-lived thread
-  // must reap before retiring or the husk (and its slab) leaks for good —
-  // exactly what KvServer's worker epilogue does.
+// The zombie gauge is process-wide: a timed-out waiter on a lock the server
+// never touches keeps its husk counted until that thread acquires again or
+// exits. Stop() must stop, join and account regardless.
+TEST(KvServer, StopIgnoresATimedOutWaiterOnAnotherLock) {
   const std::uint64_t before = OutstandingZombieQNodes();
-  McsStpLock lock;
-  lock.lock();
+  KvServer server(SmallServer("lru", "mcs-stp"));
+  ASSERT_TRUE(server.Start());
+  constexpr int kRequests = 200;
+  for (int i = 0; i < kRequests; ++i) {
+    server.Submit(Req(static_cast<std::uint32_t>(i % 2), static_cast<std::uint64_t>(i)));
+  }
+  McsStpLock other;
+  other.lock();
   std::atomic<bool> timed_out{false};
+  std::atomic<bool> release{false};
   std::thread waiter([&] {
-    EXPECT_FALSE(lock.TryLockFor(5ms));  // times out behind the held lock
+    EXPECT_FALSE(other.TryLockFor(5ms));  // times out behind the held lock
     timed_out.store(true);
-    // Bounded drain loop, as in KvServer::WorkerLoop's epilogue.
-    const auto deadline = std::chrono::steady_clock::now() + 10s;
-    while (ReapZombieQNodes() > 0 &&
-           std::chrono::steady_clock::now() < deadline) {
-      std::this_thread::yield();
+    // No further acquire, so the husk stays on this thread's zombie list.
+    while (!release.load()) {
+      std::this_thread::sleep_for(1ms);
     }
-    EXPECT_EQ(ReapZombieQNodes(), 0u);
   });
   while (!timed_out.load()) {
     std::this_thread::sleep_for(1ms);
   }
-  EXPECT_GE(OutstandingZombieQNodes(), before + 1);  // husk exists
-  lock.unlock();  // owner's walk skips + reclaims the husk
-  waiter.join();
+  EXPECT_GE(OutstandingZombieQNodes(), before + 1);
+  server.Stop();
+  const TenantStats agg = server.Aggregate();
+  EXPECT_EQ(agg.offered, static_cast<std::uint64_t>(kRequests));
+  EXPECT_EQ(agg.served + agg.shed_total(), agg.offered);
+  other.unlock();  // the unlock walk reclaims the husk
+  release.store(true);
+  waiter.join();  // the exiting thread's arena reaps it
   EXPECT_EQ(OutstandingZombieQNodes(), before);
 }
 
@@ -690,7 +707,7 @@ TEST(WorkerDrain, ReapZombieQNodesClearsTimedWaiterHusks) {
 // Open-loop load generation end to end.
 
 TEST(LoadGen, OpenLoopOffersTheConfiguredRate) {
-  KvServerOptions sopts = SmallServer("lru", "tas");
+  KvServerOptions sopts = SmallServer("lru", "mcs-stp");
   KvServer server(sopts);
   ASSERT_TRUE(server.Start());
   LoadGenOptions lopts;
@@ -711,7 +728,7 @@ TEST(LoadGen, OpenLoopOffersTheConfiguredRate) {
 }
 
 TEST(LoadGen, TenantWeightsShapeOfferedLoad) {
-  KvServerOptions sopts = SmallServer("lru", "tas");
+  KvServerOptions sopts = SmallServer("lru", "mcs-stp");
   sopts.tenants = 2;
   KvServer server(sopts);
   ASSERT_TRUE(server.Start());
@@ -816,7 +833,7 @@ TEST_F(ServerChaosTest, AdmitAndDispatchSitesAreReached) {
 TEST_F(ServerChaosTest, ShedSiteFiresOnTailDrop) {
   failpoint::Configure("server.shed",
                        {.action = failpoint::Action::kYield, .probability = 1.0});
-  KvServerOptions opts = SmallServer("lru", "tas");
+  KvServerOptions opts = SmallServer("lru", "mcs-stp");
   opts.queue_capacity = 8;
   opts.workers = 1;
   KvServer server(opts);
@@ -850,7 +867,7 @@ TEST_F(ServerChaosTest, YieldStormPreservesAccounting) {
   });
   // SmallServer's max_inflight runs 2 workers; under taskset -c 0 they
   // share the CPU with the submitter, so the forced yields deschedule them.
-  KvServerOptions opts = SmallServer("kchash", "mcscr-stp");
+  KvServerOptions opts = SmallServer("minidb", "mcscr-stp");
   opts.queue_capacity = 256;
   KvServer server(opts);
   ASSERT_TRUE(server.Start());

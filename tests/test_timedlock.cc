@@ -178,6 +178,34 @@ TEST(TimedLockCounters, TimeoutsCounted) {
   lock.unlock();
 }
 
+TEST(WorkerDrain, ReapZombieQNodesClearsTimedWaiterHusks) {
+  // A waiter that times out on a queue lock zombies its QNode; the husk is
+  // pinned until the owner's unlock walk reclaims it. ReapZombieQNodes()
+  // counts the calling thread's husks still pinned, and reaps the rest.
+  const std::uint64_t before = OutstandingZombieQNodes();
+  McsStpLock lock;
+  lock.lock();
+  std::atomic<bool> timed_out{false};
+  std::thread waiter([&] {
+    EXPECT_FALSE(lock.TryLockFor(5ms));  // times out behind the held lock
+    timed_out.store(true);
+    // Bounded drain loop: the pin lasts until the owner unlocks.
+    const auto deadline = std::chrono::steady_clock::now() + 10s;
+    while (ReapZombieQNodes() > 0 &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+    EXPECT_EQ(ReapZombieQNodes(), 0u);
+  });
+  while (!timed_out.load()) {
+    std::this_thread::sleep_for(1ms);
+  }
+  EXPECT_GE(OutstandingZombieQNodes(), before + 1);  // husk exists
+  lock.unlock();  // owner's walk skips + reclaims the husk
+  waiter.join();
+  EXPECT_EQ(OutstandingZombieQNodes(), before);
+}
+
 // ---------------------------------------------------------------------------
 // AnyLock virtual surface (satellite: conservative poll default + native
 // forwarding through LockAdapter).
