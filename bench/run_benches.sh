@@ -31,7 +31,6 @@ benches=(
   bench_handover_latency
   bench_fig02_tas_vs_mcs
   bench_abl_spin_budget
-  bench_timeout_overhead
   bench_abl_sharding
 )
 

@@ -3,12 +3,13 @@
 // the waiter-state objects of this library: ThreadCtx and QNode).
 //
 // Why it exists: the paper's succession protocols let a granter touch a
-// waiter's state *after* the grant CAS — the post-grant Wake(), MCSCRN's
-// numa_node read. The repo used to make those touches safe by deliberately
-// leaking every ThreadCtx and every QNode slab that still held cancelled
-// husks at thread exit. That is fine for long-lived bench threads and wrong
-// for a server with thread churn. This allocator retires the leak with two
-// properties:
+// waiter's state *after* the grant store — the post-grant Wake() through
+// the waiter's ThreadCtx, whose thread may have run, unlocked and exited in
+// between. The repo used to make that touch safe by deliberately leaking
+// every ThreadCtx at thread exit. That is fine for long-lived bench threads
+// and wrong for a server with thread churn. This allocator retires the
+// leak with two properties (QNodes come from it too, so an exiting
+// thread's node pool goes back for reuse and churn stays memory-flat):
 //
 //   * Type-stable memory. Slot memory is carved from slabs owned by the
 //     allocator and freed only when the allocator itself is destroyed (at
@@ -119,8 +120,9 @@ class SlabAllocator {
   // destructors (which return slots) run before static destructors on the
   // main thread, so by the time this runs all well-behaved tenants are
   // gone and LeakSanitizer sees a clean heap. Slots still checked out here
-  // (orphaned husks pinned by a dead granter) lose their memory with the
-  // slab — safe, because nothing can touch them after process exit.
+  // (say, the QNode of a thread that exited holding a lock) lose their
+  // memory with the slab — safe, because nothing can touch them after
+  // process exit.
   ~SlabAllocator() {
     for (Magazine* m : depot_.all_magazines) {
       delete m;

@@ -1,11 +1,13 @@
 // FailPoint fault injection: named, compile-time-gated chaos sites wired
-// into the grant/cancel/culling paths of the lock stack.
+// into the grant/splice/culling and park/wake paths of the lock stack.
 //
 // The races this library ships — wake-ahead permits racing ParkFor
-// timeouts, culling racing cancellation, grants racing self-removal — have
-// windows of a few instructions. Scheduler luck exercises them once per
-// million iterations; a FailPoint placed inside the window widens it on
-// demand so a unit test covers the interleaving deterministically.
+// timeouts, a grant racing the splice of a passive waiter into the chain,
+// a post-grant wake racing the grantee's exit, a pop racing a waiter's
+// self-acquire — have windows of a few instructions. Scheduler luck
+// exercises them once per million iterations; a FailPoint placed inside
+// the window widens it on demand so a unit test covers the interleaving
+// deterministically.
 //
 // Usage (production code):
 //

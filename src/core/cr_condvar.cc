@@ -1,20 +1,19 @@
 #include "src/core/cr_condvar.h"
 
+#include "src/chaos/failpoint.h"
+
 namespace malthus {
 
 void CrCondVar::Enqueue(Waiter* w) {
   const bool append = ThreadLocalRng().BernoulliP(opts_.append_probability);
   Guard();
-  w->queued = true;
   if (head_ == nullptr) {
     head_ = tail_ = w;
   } else if (append) {
-    w->prev = tail_;
     tail_->next = w;
     tail_ = w;
   } else {
     w->next = head_;
-    head_->prev = w;
     head_ = w;
   }
   count_.fetch_add(1, std::memory_order_relaxed);
@@ -26,18 +25,15 @@ void CrCondVar::Signal() {
   Waiter* w = head_;
   if (w != nullptr) {
     head_ = w->next;
-    if (head_ != nullptr) {
-      head_->prev = nullptr;
-    } else {
+    if (head_ == nullptr) {
       tail_ = nullptr;
     }
-    w->queued = false;  // Commits the signal: a timed waiter may no longer cancel.
     count_.fetch_sub(1, std::memory_order_relaxed);
   }
   Unguard();
   if (w != nullptr) {
-    // Chaos: delay between the pop (signal committed) and the state store —
-    // the window a timed-out waiter must bridge by spinning.
+    // Chaos: delay between the pop (signal committed) and the state store,
+    // while the popped waiter may still be parking.
     MALTHUS_FAILPOINT("condvar.signal");
     const ParkerRef wake = w->wake;  // Read before the release of w's frame.
     w->state.store(kSignaled, std::memory_order_release);
@@ -49,13 +45,6 @@ void CrCondVar::Broadcast() {
   Guard();
   Waiter* w = head_;
   head_ = tail_ = nullptr;
-  // Commit every detached waiter while still under the guard: a timed
-  // waiter whose deadline races the broadcast must observe !queued and spin
-  // for its kSignaled store instead of "cancelling" a wait that is no
-  // longer linked anywhere.
-  for (Waiter* p = w; p != nullptr; p = p->next) {
-    p->queued = false;
-  }
   count_.store(0, std::memory_order_relaxed);
   Unguard();
   while (w != nullptr) {

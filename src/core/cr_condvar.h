@@ -21,10 +21,8 @@
 #define MALTHUS_SRC_CORE_CR_CONDVAR_H_
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 
-#include "src/chaos/failpoint.h"
 #include "src/platform/align.h"
 #include "src/platform/cpu.h"
 #include "src/platform/thread_registry.h"
@@ -67,69 +65,6 @@ class CrCondVar {
     }
   }
 
-  // Timed wait: returns true if signaled, false if the deadline passed
-  // first (Mesa semantics either way — re-check the predicate). The stack
-  // Waiter's guard-protected `queued` flag arbitrates the timeout-vs-signal
-  // race: Signal()/Broadcast() clear it under the guard when they commit to
-  // a waiter, so a timed-out waiter that finds it cleared spins for the
-  // imminent state store and reports the signal rather than losing it.
-  template <typename Lock>
-  bool WaitUntil(Lock& lock, std::chrono::steady_clock::time_point deadline) {
-    ThreadCtx& self = Self();
-    Waiter w;
-    w.wake = SelfWakeRef(self);
-    Enqueue(&w);
-    lock.unlock();
-    bool signaled = true;
-    while (w.state.load(std::memory_order_acquire) == kQueued) {
-      const auto now = std::chrono::steady_clock::now();
-      if (now >= deadline) {
-        // Chaos: widen the timeout-vs-signal window.
-        MALTHUS_FAILPOINT("condvar.cancel");
-        Guard();
-        if (w.queued) {
-          Unlink(&w);
-          Unguard();
-          signaled = false;
-          break;
-        }
-        Unguard();
-        // A signaler already popped us: the kSignaled store is imminent
-        // (it happens outside the guard). Absorb it — abandoning now would
-        // swallow the signal, stranding another waiter forever.
-        while (w.state.load(std::memory_order_acquire) == kQueued) {
-          CpuRelax();
-        }
-        break;
-      }
-      self.parker.ParkFor(deadline - now);
-    }
-    lock.lock();
-    return signaled;
-  }
-
-  template <typename Lock>
-  bool WaitFor(Lock& lock, std::chrono::nanoseconds timeout) {
-    return WaitUntil(lock, std::chrono::steady_clock::now() + timeout);
-  }
-
-  // Predicate overload: returns the predicate's value at exit (true iff it
-  // held before the deadline).
-  template <typename Lock, typename Pred>
-  bool WaitUntil(Lock& lock, std::chrono::steady_clock::time_point deadline, Pred pred) {
-    while (!pred()) {
-      if (!WaitUntil(lock, deadline)) {
-        return pred();
-      }
-    }
-    return true;
-  }
-
-  template <typename Lock, typename Pred>
-  bool WaitFor(Lock& lock, std::chrono::nanoseconds timeout, Pred pred) {
-    return WaitUntil(lock, std::chrono::steady_clock::now() + timeout, pred);
-  }
-
   // Wakes the head waiter, if any.
   void Signal();
 
@@ -138,11 +73,6 @@ class CrCondVar {
 
   // Number of threads currently enqueued (racy snapshot; for stats/tests).
   std::size_t WaiterCount() const { return count_.load(std::memory_order_relaxed); }
-  // Timed waits that gave up at their deadline.
-  std::uint64_t Timeouts() const { return timeouts_.load(std::memory_order_relaxed); }
-
-  void set_options(const CrCondVarOptions& opts) { opts_ = opts; }
-  const CrCondVarOptions& options() const { return opts_; }
 
  private:
   static constexpr std::uint32_t kQueued = 0;
@@ -151,15 +81,10 @@ class CrCondVar {
   struct Waiter {
     std::atomic<std::uint32_t> state{kQueued};
     Waiter* next = nullptr;
-    Waiter* prev = nullptr;
     // Generation-validated wake channel (see CrSemaphore::Waiter): the
     // signaler's Unpark fires after the kSignaled store, by which time the
     // waiter may have returned and its thread exited.
     ParkerRef wake;
-    // Guard-protected: true while linked. Cleared by the committing
-    // Signal()/Broadcast(), so a timed-out waiter can tell whether a signal
-    // is already in flight to it.
-    bool queued = false;
   };
 
   // Tiny internal spinlock guarding the waiter list. Waiters hold the user
@@ -173,28 +98,10 @@ class CrCondVar {
 
   void Enqueue(Waiter* w);
 
-  // Caller holds the guard; w must be linked. Used by the timeout path.
-  void Unlink(Waiter* w) {
-    if (w->prev != nullptr) {
-      w->prev->next = w->next;
-    } else {
-      head_ = w->next;
-    }
-    if (w->next != nullptr) {
-      w->next->prev = w->prev;
-    } else {
-      tail_ = w->prev;
-    }
-    w->queued = false;
-    count_.fetch_sub(1, std::memory_order_relaxed);
-    timeouts_.fetch_add(1, std::memory_order_relaxed);
-  }
-
   alignas(kCacheLineSize) std::atomic<std::uint32_t> guard_{0};
   Waiter* head_ = nullptr;  // Signal pops here.
   Waiter* tail_ = nullptr;
   std::atomic<std::size_t> count_{0};
-  std::atomic<std::uint64_t> timeouts_{0};
   CrCondVarOptions opts_;
 };
 

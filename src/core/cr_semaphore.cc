@@ -17,16 +17,13 @@ void CrSemaphore::Wait() {
     return;
   }
   const bool append = ThreadLocalRng().BernoulliP(opts_.append_probability);
-  w.queued = true;
   if (head_ == nullptr) {
     head_ = tail_ = &w;
   } else if (append) {
-    w.prev = tail_;
     tail_->next = &w;
     tail_ = &w;
   } else {
     w.next = head_;
-    head_->prev = &w;
     head_ = &w;
   }
   waiters_.fetch_add(1, std::memory_order_relaxed);
@@ -36,65 +33,6 @@ void CrSemaphore::Wait() {
   // a direct handoff within the spin budget is then observed in userspace.
   SpinThenParkPolicy::Await(w.state, kQueued, self.parker, opts_.spin_budget);
   // The permit was handed to us directly by a poster; nothing to consume.
-}
-
-bool CrSemaphore::TryWaitUntil(std::chrono::steady_clock::time_point deadline) {
-  ThreadCtx& self = Self();
-  Waiter w;
-  w.wake = SelfWakeRef(self);
-
-  Guard();
-  if (count_ > 0) {
-    --count_;
-    Unguard();
-    return true;
-  }
-  if (std::chrono::steady_clock::now() >= deadline) {
-    Unguard();  // Deadline already passed: degenerate to TryWait().
-    timeouts_.fetch_add(1, std::memory_order_relaxed);
-    return false;
-  }
-  const bool append = ThreadLocalRng().BernoulliP(opts_.append_probability);
-  w.queued = true;
-  if (head_ == nullptr) {
-    head_ = tail_ = &w;
-  } else if (append) {
-    w.prev = tail_;
-    tail_->next = &w;
-    tail_ = &w;
-  } else {
-    w.next = head_;
-    head_->prev = &w;
-    head_ = &w;
-  }
-  waiters_.fetch_add(1, std::memory_order_relaxed);
-  Unguard();
-
-  if (SpinThenParkPolicy::AwaitUntil(w.state, kQueued, self.parker, deadline,
-                                     opts_.spin_budget)) {
-    return true;  // Granted a permit directly.
-  }
-
-  // Deadline passed. Re-take the guard to arbitrate against posters.
-  // Chaos: widen the timeout-vs-pop window.
-  MALTHUS_FAILPOINT("sem.cancel");
-  Guard();
-  if (w.queued) {
-    Unlink(&w);
-    Unguard();
-    timeouts_.fetch_add(1, std::memory_order_relaxed);
-    return false;
-  }
-  Unguard();
-  // A poster already popped us: the permit is committed and its grant store
-  // is imminent (Post writes w.state outside the guard). Wait for it — the
-  // permit would otherwise be lost — then report success despite the
-  // deadline. The poster's Unpark may leave a stale permit on our parker,
-  // which at worst costs one later spin-and-repark round.
-  while (w.state.load(std::memory_order_acquire) == kQueued) {
-    CpuRelax();
-  }
-  return true;
 }
 
 bool CrSemaphore::TryWait() {
@@ -113,20 +51,17 @@ void CrSemaphore::Post() {
   Waiter* w = head_;
   if (w != nullptr) {
     head_ = w->next;
-    if (head_ != nullptr) {
-      head_->prev = nullptr;
-    } else {
+    if (head_ == nullptr) {
       tail_ = nullptr;
     }
-    w->queued = false;  // Commits the permit: a timed waiter may no longer cancel.
     waiters_.fetch_sub(1, std::memory_order_relaxed);
   } else {
     ++count_;
   }
   Unguard();
   if (w != nullptr) {
-    // Chaos: delay between the pop (permit committed) and the grant store —
-    // the window a timed-out waiter must bridge by spinning.
+    // Chaos: delay between the pop (permit committed) and the grant store,
+    // while the popped waiter still spins or parks.
     MALTHUS_FAILPOINT("sem.post");
     // w's frame may die once state is stored, and the waiter's thread may
     // even exit before the Unpark below fires; the copied ParkerRef keeps

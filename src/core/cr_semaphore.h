@@ -13,7 +13,6 @@
 #define MALTHUS_SRC_CORE_CR_SEMAPHORE_H_
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 
 #include "src/platform/align.h"
@@ -43,16 +42,6 @@ class CrSemaphore {
   bool TryWait();
   void Post();
 
-  // Timed wait. The stack Waiter carries a guard-protected `queued` flag:
-  // Post() clears it under the guard when it pops a waiter, so a timed-out
-  // waiter re-taking the guard can distinguish "still enqueued" (unlink,
-  // return false) from "popped, permit store imminent" (wait for the grant
-  // word — the permit is committed to us and abandoning it would lose it).
-  bool TryWaitUntil(std::chrono::steady_clock::time_point deadline);
-  bool TryWaitFor(std::chrono::nanoseconds timeout) {
-    return TryWaitUntil(std::chrono::steady_clock::now() + timeout);
-  }
-
   // Anticipatory handover (wake-ahead, §5.2): call shortly before a Post()
   // to start the head waiter's kernel wakeup early, so the eventual direct
   // permit handoff finds it runnable (or back to spinning) and needs no
@@ -62,8 +51,6 @@ class CrSemaphore {
 
   std::int64_t Count() const;
   std::size_t WaiterCount() const { return waiters_.load(std::memory_order_relaxed); }
-  // Timed waits that gave up at their deadline.
-  std::uint64_t Timeouts() const { return timeouts_.load(std::memory_order_relaxed); }
 
  private:
   static constexpr std::uint32_t kQueued = 0;
@@ -72,34 +59,13 @@ class CrSemaphore {
   struct Waiter {
     std::atomic<std::uint32_t> state{kQueued};
     Waiter* next = nullptr;
-    Waiter* prev = nullptr;
     // Generation-validated wake channel: the Waiter frame itself is
     // stack-pinned until the grant resolves, but the poster's Unpark fires
     // *after* the grant store — by which time the waiter may have returned
     // and its thread exited. The ParkerRef makes that late wake a no-op
     // instead of a dangling Parker poke.
     ParkerRef wake;
-    // Guard-protected: true while linked in the wait list. Cleared by the
-    // popping Post(), so a timed-out waiter can tell whether a permit has
-    // already been committed to it.
-    bool queued = false;
   };
-
-  // Caller holds the guard; w must be linked.
-  void Unlink(Waiter* w) {
-    if (w->prev != nullptr) {
-      w->prev->next = w->next;
-    } else {
-      head_ = w->next;
-    }
-    if (w->next != nullptr) {
-      w->next->prev = w->prev;
-    } else {
-      tail_ = w->prev;
-    }
-    w->queued = false;
-    waiters_.fetch_sub(1, std::memory_order_relaxed);
-  }
 
   void Guard() const {
     while (guard_.exchange(1, std::memory_order_acquire) != 0) {
@@ -113,7 +79,6 @@ class CrSemaphore {
   Waiter* head_ = nullptr;
   Waiter* tail_ = nullptr;
   std::atomic<std::size_t> waiters_{0};
-  std::atomic<std::uint64_t> timeouts_{0};
   CrSemaphoreOptions opts_;
 };
 

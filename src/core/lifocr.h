@@ -22,7 +22,6 @@
 #define MALTHUS_SRC_CORE_LIFOCR_H_
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 
 #include "src/chaos/failpoint.h"
@@ -86,71 +85,6 @@ class LifoCrLock {
                                          std::memory_order_relaxed);
   }
 
-  // Timed acquisition. A timed-out waiter cannot unlink itself from the
-  // stack (only the owner pops), so it tombstones its node in place with
-  // the kWaiting -> kCancelled CAS; owner-side pops and the fairness walk
-  // skip and reclaim husks. A failed cancel CAS means a granter already
-  // popped us and committed — the lock is ours despite the deadline.
-  bool TryLockUntil(std::chrono::steady_clock::time_point deadline) {
-    ThreadCtx& self = Self();
-    std::uintptr_t cur = word_.load(std::memory_order_relaxed);
-    QNode* me = nullptr;
-    while (true) {
-      if (cur == kFree) {
-        if (word_.compare_exchange_weak(cur, kHeldNoWaiters, std::memory_order_acquire,
-                                        std::memory_order_relaxed)) {
-          if (me != nullptr) {
-            ReleaseQNode(me);
-          }
-          break;
-        }
-        continue;
-      }
-      if (std::chrono::steady_clock::now() >= deadline) {
-        // Not on the stack (every failed push CAS leaves the node private),
-        // so no tombstone is needed yet.
-        if (me != nullptr) {
-          ReleaseQNode(me);
-        }
-        timeouts_.fetch_add(1, std::memory_order_relaxed);
-        return false;
-      }
-      if (me == nullptr) {
-        me = AcquireQNode();
-        me->PrepareForWait(self);
-      }
-      me->next.store(cur == kHeldNoWaiters ? nullptr : reinterpret_cast<QNode*>(cur),
-                     std::memory_order_relaxed);
-      if (word_.compare_exchange_weak(cur, reinterpret_cast<std::uintptr_t>(me),
-                                      std::memory_order_release, std::memory_order_relaxed)) {
-        if (!WaitPolicy::AwaitUntil(me->status, kWaiting, self.parker, deadline,
-                                    opts_.spin_budget)) {
-          MALTHUS_FAILPOINT("lifocr.cancel");
-          std::uint32_t expected = kWaiting;
-          if (me->status.compare_exchange_strong(expected, kCancelled, std::memory_order_release,
-                                                 std::memory_order_acquire)) {
-            timeouts_.fetch_add(1, std::memory_order_relaxed);
-            ZombieQNode(me);
-            return false;
-          }
-        }
-        if (me->status.load(std::memory_order_acquire) != kGranted) {
-          AwaitGrantCommit(me->status);
-        }
-        ReleaseQNode(me);
-        break;  // Granted; our node was unlinked by the granter.
-      }
-    }
-    if (AdmissionLog* recorder = recorder_.load(std::memory_order_relaxed)) {
-      recorder->Record(self.id);
-    }
-    return true;
-  }
-
-  bool TryLockFor(std::chrono::nanoseconds timeout) {
-    return TryLockUntil(std::chrono::steady_clock::now() + timeout);
-  }
-
   // Anticipatory handover (wake-ahead, §5.2): the next grantee is the stack
   // top — the most recently arrived waiter, which LIFO pops. Only the owner
   // pops, so the observed top stays on the stack until our unlock(); a
@@ -193,67 +127,33 @@ class LifoCrLock {
 
       if (top->next.load(std::memory_order_relaxed) != nullptr && opts_.fairness_one_in != 0 &&
           ThreadLocalRng().BernoulliOneIn(opts_.fairness_one_in)) {
-        // Anti-starvation: unlink the stack bottom (the eldest *live*
-        // waiter) and grant it. Links below the observed top are frozen
-        // (pushes only alter the top; we are the only popper), so the walk
-        // is safe — and since only we pop, cancelled husks encountered on
-        // the way are unlinked and reclaimed in passing, which keeps deep
-        // tombstones from accumulating under cancellation storms.
+        // Anti-starvation: unlink the stack bottom (the eldest waiter) and
+        // grant it. Links below the observed top are frozen (pushes only
+        // alter the top; we are the only popper), so the walk is safe.
         QNode* prev = top;
         QNode* bottom = top->next.load(std::memory_order_relaxed);
-        while (bottom != nullptr) {
-          QNode* nxt = bottom->next.load(std::memory_order_relaxed);
-          if (bottom->status.load(std::memory_order_acquire) == kCancelled) {
-            // Terminal on the waiter side; unlink and hand the husk back.
-            prev->next.store(nxt, std::memory_order_relaxed);
-            cancelled_reclaims_.fetch_add(1, std::memory_order_relaxed);
-            bottom->status.store(kReclaimed, std::memory_order_release);
-            bottom = nxt;
-            continue;
-          }
-          if (nxt == nullptr) {
-            break;
-          }
+        for (QNode* nxt = bottom->next.load(std::memory_order_relaxed); nxt != nullptr;
+             nxt = bottom->next.load(std::memory_order_relaxed)) {
           prev = bottom;
           bottom = nxt;
         }
-        if (bottom != nullptr) {
-          MALTHUS_FAILPOINT("lifocr.fairness");
-          prev->next.store(nullptr, std::memory_order_relaxed);
-          // The unlink precedes the grant attempt, so a cancel racing us
-          // just costs the unlink: on CAS failure the husk is already off
-          // the stack and is reclaimed here.
-          if (TryGrant(bottom)) {
-            fairness_grants_.fetch_add(1, std::memory_order_relaxed);
-            return;
-          }
-          cancelled_reclaims_.fetch_add(1, std::memory_order_relaxed);
-          bottom->status.store(kReclaimed, std::memory_order_release);
-        }
-        // Stack drained to tombstones below the top (or the bottom
-        // cancelled mid-grant); fall through to the normal pop.
+        MALTHUS_FAILPOINT("lifocr.fairness");
+        prev->next.store(nullptr, std::memory_order_relaxed);
+        Grant(bottom);
+        fairness_grants_.fetch_add(1, std::memory_order_relaxed);
+        return;
       }
 
       // Normal LIFO pop of the most recently arrived waiter. Acquire-only:
       // see the memory-order map above (release would be accidental
-      // over-strength on the handover fast path). `below` is re-read here:
-      // the fairness walk above may have unlinked (and reclaimed) the node
-      // a pre-walk read would have captured.
+      // over-strength on the handover fast path).
       QNode* below = top->next.load(std::memory_order_relaxed);
       MALTHUS_FAILPOINT("lifocr.pop");
       if (word_.compare_exchange_weak(
               cur, below == nullptr ? kHeldNoWaiters : reinterpret_cast<std::uintptr_t>(below),
               std::memory_order_acquire, std::memory_order_acquire)) {
-        if (TryGrant(top)) {
-          return;
-        }
-        // The popped top was a cancelled husk: reclaim it and keep popping.
-        // We still hold the lock, so the loop re-reads the word and tries
-        // the next waiter (or frees the lock).
-        cancelled_reclaims_.fetch_add(1, std::memory_order_relaxed);
-        top->status.store(kReclaimed, std::memory_order_release);
-        cur = word_.load(std::memory_order_acquire);
-        continue;
+        Grant(top);
+        return;
       }
       // New arrivals changed the top; retry with the fresh value.
     }
@@ -268,37 +168,23 @@ class LifoCrLock {
   std::uint64_t fairness_grants() const {
     return fairness_grants_.load(std::memory_order_relaxed);
   }
-  // Acquisitions that timed out (pre-push or via cancellation).
-  std::uint64_t timeouts() const { return timeouts_.load(std::memory_order_relaxed); }
-  // Cancelled husks unlinked and reclaimed by owner-side pops and walks.
-  std::uint64_t cancelled_reclaims() const {
-    return cancelled_reclaims_.load(std::memory_order_relaxed);
-  }
 
  private:
   static constexpr std::uintptr_t kFree = 0;
   static constexpr std::uintptr_t kHeldNoWaiters = 1;
 
-  // Commits the grant iff the (already unlinked) node has not cancelled.
-  // On success the waiter may recycle `node` immediately, so the wake goes
-  // through the pre-read, generation-validated ParkerRef, never through the
-  // node. Release pairs with the waiter's acquire load in Await. On failure
-  // the caller owns the husk and must reclaim it.
-  bool TryGrant(QNode* node) {
+  // Passes the lock to an already unlinked node. The waiter may recycle
+  // `node` the moment it observes the grant, so the wake goes through the
+  // pre-read, generation-validated ParkerRef, never through the node.
+  // Release pairs with the waiter's acquire load in Await.
+  void Grant(QNode* node) {
     const ParkerRef wake = node->wake_ref();
-    std::uint32_t expected = kWaiting;
-    if (node->status.compare_exchange_strong(expected, kGranted, std::memory_order_release,
-                                             std::memory_order_relaxed)) {
-      WaitPolicy::Wake(wake);
-      return true;
-    }
-    return false;
+    node->status.store(kGranted, std::memory_order_release);
+    WaitPolicy::Wake(wake);
   }
 
   alignas(kCacheLineSize) std::atomic<std::uintptr_t> word_{kFree};
   std::atomic<std::uint64_t> fairness_grants_{0};
-  std::atomic<std::uint64_t> timeouts_{0};
-  std::atomic<std::uint64_t> cancelled_reclaims_{0};
   std::atomic<AdmissionLog*> recorder_{nullptr};
   LifoCrOptions opts_;
 };

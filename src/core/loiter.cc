@@ -1,7 +1,5 @@
 #include "src/core/loiter.h"
 
-#include <algorithm>
-
 #include "src/chaos/failpoint.h"
 #include "src/platform/cpu.h"
 #include "src/waiting/policy.h"
@@ -48,10 +46,8 @@ void LoiterLock::lock() {
 
   // Slow path: queue on the inner MCS lock; its holder is the standby.
   inner_.lock();
-  // Reset the grant word before publishing: a resigned predecessor leaves it
-  // at kGrantCancelled. Publish the generation before the ctx pointer (the
-  // release store) so any reader that observes us also observes our gen.
-  standby_grant_.store(kGrantWaiting, std::memory_order_relaxed);
+  // Publish the generation before the ctx pointer (the release store) so
+  // any reader that observes us also observes our gen.
   standby_gen_.store(self.slot_gen.load(std::memory_order_relaxed),
                      std::memory_order_relaxed);
   standby_.store(&self, std::memory_order_release);
@@ -88,7 +84,7 @@ void LoiterLock::lock() {
         // collapses into a syscall-free permit post instead of a futex wake.
         PostWakeRespin(kMinPostWakeSpin, [&] {
           return outer_.load(std::memory_order_relaxed) == kOuterFree ||
-                 standby_grant_.load(std::memory_order_relaxed) != 0;
+                 standby_grant_.load(std::memory_order_relaxed) != kGrantWaiting;
         });
       }
     }
@@ -104,103 +100,6 @@ void LoiterLock::lock() {
   if (recorder_ != nullptr) {
     recorder_->Record(self.id);
   }
-}
-
-bool LoiterLock::TryLockUntil(std::chrono::steady_clock::time_point deadline) {
-  ThreadCtx& self = Self();
-  if (FastPathSpin()) {
-    owner_via_slow_ = false;
-    fast_acquires_.fetch_add(1, std::memory_order_relaxed);
-    if (recorder_ != nullptr) {
-      recorder_->Record(self.id);
-    }
-    return true;
-  }
-
-  // Slow path: bound the inner queue wait first (full MCS cancellation
-  // protocol). An inner timeout means we never became standby.
-  if (!inner_.TryLockUntil(deadline)) {
-    timeouts_.fetch_add(1, std::memory_order_relaxed);
-    return false;
-  }
-  standby_grant_.store(kGrantWaiting, std::memory_order_relaxed);
-  standby_gen_.store(self.slot_gen.load(std::memory_order_relaxed),
-                     std::memory_order_relaxed);
-  standby_.store(&self, std::memory_order_release);
-
-  const auto start = std::chrono::steady_clock::now();
-  bool impatient = false;
-  while (true) {
-    if (TryOuter()) {
-      break;
-    }
-    if (standby_grant_.load(std::memory_order_acquire) == kGrantGranted) {
-      break;  // Direct handoff: the outer lock was never released.
-    }
-    const auto now = std::chrono::steady_clock::now();
-    if (now >= deadline) {
-      // Chaos: widen the resign-vs-handoff window.
-      MALTHUS_FAILPOINT("loiter.cancel");
-      std::uint32_t expected = kGrantWaiting;
-      if (!standby_grant_.compare_exchange_strong(expected, kGrantCancelled,
-                                                  std::memory_order_acq_rel,
-                                                  std::memory_order_acquire)) {
-        // kGrantGranted: a direct handoff beat our resignation — we own the
-        // outer lock despite the deadline. Take the win.
-        break;
-      }
-      // Resigned. Unpublish ourselves, then pass the standby role on; both
-      // stores must precede inner_.unlock() so the next standby's publish
-      // is never overwritten. An unlocker that already built our wake ref
-      // may still post a stale permit (our generation is still current
-      // while we live) — the next standby's timed park absorbs the
-      // at-most-one-round penalty.
-      standby_.store(nullptr, std::memory_order_release);
-      handoff_requested_.store(0, std::memory_order_release);
-      inner_.unlock();
-      timeouts_.fetch_add(1, std::memory_order_relaxed);
-      return false;
-    }
-    if (!impatient && now - start >= opts_.patience) {
-      impatient = true;
-      handoff_requested_.store(1, std::memory_order_release);
-    }
-    for (std::uint32_t i = 0; i < 256; ++i) {
-      if (outer_.load(std::memory_order_relaxed) == kOuterFree ||
-          standby_grant_.load(std::memory_order_relaxed) != kGrantWaiting) {
-        break;
-      }
-      CpuRelax();
-    }
-    if (outer_.load(std::memory_order_relaxed) != kOuterFree &&
-        standby_grant_.load(std::memory_order_relaxed) == kGrantWaiting) {
-      const auto remaining = deadline - std::chrono::steady_clock::now();
-      if (remaining <= std::chrono::nanoseconds::zero()) {
-        continue;  // Loop back to the deadline check.
-      }
-      const auto slice = std::min<std::chrono::nanoseconds>(
-          opts_.standby_park_slice,
-          std::chrono::duration_cast<std::chrono::nanoseconds>(remaining));
-      if (self.parker.ParkFor(slice)) {
-        PostWakeRespin(kMinPostWakeSpin, [&] {
-          return outer_.load(std::memory_order_relaxed) == kOuterFree ||
-                 standby_grant_.load(std::memory_order_relaxed) != kGrantWaiting;
-        });
-      }
-    }
-  }
-
-  // We own the outer lock (taken, granted, or won against our own
-  // resignation). Retire the standby role exactly as lock() does.
-  standby_.store(nullptr, std::memory_order_relaxed);
-  standby_grant_.store(kGrantWaiting, std::memory_order_relaxed);
-  handoff_requested_.store(0, std::memory_order_release);
-  owner_via_slow_ = true;
-  slow_acquires_.fetch_add(1, std::memory_order_relaxed);
-  if (recorder_ != nullptr) {
-    recorder_->Record(self.id);
-  }
-  return true;
 }
 
 bool LoiterLock::try_lock() {
@@ -224,10 +123,8 @@ void LoiterLock::PrepareHandover() {
   // is about to promote to standby.
   ThreadCtx* standby = standby_.load(std::memory_order_acquire);
   if (standby != nullptr) {
-    // Generation-validated: if the standby resigned and its thread exited
-    // (recycling the ThreadCtx slot) between our load and the hint, the
-    // ParkerRef check turns the WakeAhead into a no-op instead of a poke
-    // at a recycled parker.
+    // The standby stays standby until it owns the outer lock, which we
+    // hold, so the generation-validated hint lands on the right tenancy.
     ParkerRef(standby, standby_gen_.load(std::memory_order_relaxed)).WakeAhead();
     return;
   }
@@ -243,24 +140,16 @@ void LoiterLock::unlock() {
   bool handed_off = false;
   if (standby != nullptr && handoff_requested_.load(std::memory_order_acquire) != 0) {
     // Anti-starvation direct handoff: the outer lock stays held; ownership
-    // transfers to the standby via the grant word. The CAS arbitrates
-    // against a timed standby resigning at its deadline: if it already
-    // CASed kGrantWaiting -> kGrantCancelled we fall back to the normal
-    // release path. (If the standby resigned and a successor republished
-    // between our pointer read and the CAS, the grant lands on the new
-    // standby while the unpark may target the old one — a stale ref whose
-    // generation check suppresses the wake once that thread exits; the new
-    // standby recovers through its timed park within one slice.)
+    // transfers to the standby via the grant word. The standby cannot have
+    // left: it leaves only by owning the outer lock, which we hold.
     MALTHUS_FAILPOINT("loiter.handoff");
     const ParkerRef wake(standby, standby_gen_.load(std::memory_order_relaxed));
-    std::uint32_t expected = kGrantWaiting;
-    if (standby_grant_.compare_exchange_strong(expected, kGrantGranted,
-                                               std::memory_order_release,
-                                               std::memory_order_acquire)) {
-      direct_handoffs_.fetch_add(1, std::memory_order_relaxed);
-      wake.Unpark();
-      handed_off = true;
-    }
+    // Release pairs with the standby's acquire load of the grant word: it
+    // transfers the critical section.
+    standby_grant_.store(kGrantGranted, std::memory_order_release);
+    direct_handoffs_.fetch_add(1, std::memory_order_relaxed);
+    wake.Unpark();
+    handed_off = true;
   }
   if (!handed_off) {
     outer_.store(kOuterFree, std::memory_order_release);

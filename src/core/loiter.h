@@ -25,7 +25,13 @@
 //   * deferred unpark: after releasing the outer lock, re-check whether
 //     some barging thread has already taken it — if so the wake of the
 //     standby can be avoided entirely (succession is delegated).
-// The standby's park is timed, so a deferred-away wake can never strand it.
+// The standby parks in timed slices (Parker::ParkFor), so a deferred-away
+// wake can never strand it.
+//
+// The standby's grant word has two states: kGrantWaiting while it contends,
+// kGrantGranted once an unlocker has handed it the outer lock directly. The
+// standby role ends only when its holder owns the outer lock, so a direct
+// handoff is one release store.
 //
 // Wake-ahead (PrepareHandover, docs/handover.md): owners can post the
 // predicted heir's wake permit from the critical-section tail, so the
@@ -69,20 +75,6 @@ class LoiterLock {
   bool try_lock();
   void unlock();
 
-  // Timed acquisition. The fast path is unchanged; the slow path first
-  // bounds the inner MCS wait (inner_.TryLockUntil — the full cancellation
-  // protocol there), then runs the standby loop against the deadline. A
-  // timed-out standby resigns via a CAS on the grant word (kGrantWaiting ->
-  // kGrantCancelled): an unlocker's direct handoff CASes kGrantWaiting ->
-  // kGrantGranted, so exactly one side wins — a standby that loses the
-  // resignation race owns the outer lock and returns true despite the
-  // deadline. After resigning, the ex-standby passes the standby role on
-  // with inner_.unlock() so slow-path waiters are never stranded.
-  bool TryLockUntil(std::chrono::steady_clock::time_point deadline);
-  bool TryLockFor(std::chrono::nanoseconds timeout) {
-    return TryLockUntil(std::chrono::steady_clock::now() + timeout);
-  }
-
   // Anticipatory handover (wake-ahead, §5.2): called by the owner near the
   // end of its critical section, before unlock(). Predicts the heir the
   // coming unlock() will wake, read-only, and posts its wake permit so a
@@ -111,21 +103,16 @@ class LoiterLock {
   std::uint64_t avoided_unparks() const {
     return avoided_unparks_.load(std::memory_order_relaxed);
   }
-  // Timed acquisitions that gave up at their deadline.
-  std::uint64_t timeouts() const { return timeouts_.load(std::memory_order_relaxed); }
 
  private:
   static constexpr std::uint32_t kOuterFree = 0;
   static constexpr std::uint32_t kOuterHeld = 1;
 
-  // standby_grant_ protocol. kGrantWaiting while the standby contends; a
-  // direct handoff CASes to kGrantGranted, a resigning (timed-out) standby
-  // CASes to kGrantCancelled — one CAS wins, arbitrating grant vs. timeout.
-  // The next standby resets the word to kGrantWaiting before publishing
-  // itself (it cannot race the previous one: the inner lock serializes).
+  // standby_grant_ values (see the header comment). The retiring standby
+  // resets the word to kGrantWaiting before it releases the inner lock, so
+  // the next standby finds it reset.
   static constexpr std::uint32_t kGrantWaiting = 0;
   static constexpr std::uint32_t kGrantGranted = 1;
-  static constexpr std::uint32_t kGrantCancelled = 2;
 
   bool TryOuter() {
     return outer_.load(std::memory_order_relaxed) == kOuterFree &&
@@ -158,7 +145,6 @@ class LoiterLock {
   std::atomic<std::uint64_t> slow_acquires_{0};
   std::atomic<std::uint64_t> direct_handoffs_{0};
   std::atomic<std::uint64_t> avoided_unparks_{0};
-  std::atomic<std::uint64_t> timeouts_{0};
   AdmissionLog* recorder_ = nullptr;
   LoiterOptions opts_;
 };

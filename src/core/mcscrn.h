@@ -17,7 +17,6 @@
 #define MALTHUS_SRC_CORE_MCSCRN_H_
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 
 #include "src/chaos/failpoint.h"
@@ -53,9 +52,6 @@ class McscrnLock {
     if (prev != nullptr) {
       prev->next.store(me, std::memory_order_release);
       WaitPolicy::Await(me->status, kWaiting, self.parker, opts_.spin_budget);
-      // Await exits on kClaimed too: a refill or home rotation that has not
-      // yet committed the grant.
-      AwaitGrantCommit(me->status);
     }
     owner_ = me;
     if (AdmissionLog* recorder = recorder_.load(std::memory_order_relaxed)) {
@@ -79,44 +75,6 @@ class McscrnLock {
     }
     ReleaseQNode(me);
     return false;
-  }
-
-  // Timed acquisition. Identical protocol to MCSCR's: the waiter may sit on
-  // the chain, the local PS, or the remote list when the deadline fires;
-  // the kWaiting -> kCancelled tombstone CAS covers all three, and every
-  // owner-side walk skips and reclaims husks.
-  bool TryLockUntil(std::chrono::steady_clock::time_point deadline) {
-    ThreadCtx& self = Self();
-    QNode* me = AcquireQNode();
-    me->PrepareForWait(self);
-    me->numa_node = Topology::Instance().NodeOf(self);
-    QNode* prev = tail_.exchange(me, std::memory_order_acq_rel);
-    if (prev != nullptr) {
-      prev->next.store(me, std::memory_order_release);
-      if (!WaitPolicy::AwaitUntil(me->status, kWaiting, self.parker, deadline,
-                                  opts_.spin_budget)) {
-        MALTHUS_FAILPOINT("mcscrn.cancel");
-        std::uint32_t expected = kWaiting;
-        if (me->status.compare_exchange_strong(expected, kCancelled, std::memory_order_release,
-                                               std::memory_order_acquire)) {
-          timeouts_.fetch_add(1, std::memory_order_relaxed);
-          ZombieQNode(me);
-          return false;
-        }
-      }
-      if (me->status.load(std::memory_order_acquire) != kGranted) {
-        AwaitGrantCommit(me->status);
-      }
-    }
-    owner_ = me;
-    if (AdmissionLog* recorder = recorder_.load(std::memory_order_relaxed)) {
-      recorder->Record(self.id);
-    }
-    return true;
-  }
-
-  bool TryLockFor(std::chrono::nanoseconds timeout) {
-    return TryLockUntil(std::chrono::steady_clock::now() + timeout);
   }
 
   // Anticipatory handover (wake-ahead, §5.2): predicts the grantee of the
@@ -164,102 +122,78 @@ class McscrnLock {
   void unlock() {
     QNode* me = owner_;
 
-    // Bounded tombstone sweep over both owner-protected lists, eldest end
-    // first, so cancelled passives are reclaimed even on cold lists.
-    PurgeCancelled(&ps_head_, &ps_tail_);
-    PurgeCancelled(&remote_head_, &remote_tail_);
-
-    // Periodic home rotation: adopt the eldest *live* remote thread's node,
-    // drain its co-resident threads into the chain, and grant it the lock.
+    // Periodic home rotation: adopt the eldest remote thread's node, drain
+    // its co-resident threads into the chain, and grant it the lock.
     if (remote_tail_ != nullptr && opts_.fairness_one_in != 0 &&
         ThreadLocalRng().BernoulliOneIn(opts_.fairness_one_in)) {
-      if (RotateHomeAndGrant(me)) {
-        return;
-      }
-      // The remote list held only tombstones (all reclaimed); fall through.
+      RotateHomeAndGrant(me);
+      return;
     }
 
-    // Chain walk, skipping cancelled husks (see McscrLock::unlock — same
-    // invariant: a husk is reclaimed only after our last access to it).
-    QNode* node = me;
-    while (true) {
-      QNode* next = node->next.load(std::memory_order_acquire);
-      if (next == nullptr) {
-        bool refill_is_remote = false;
-        QNode* refill = ClaimPassive(&ps_head_, &ps_tail_, /*from_tail=*/false);
-        if (refill == nullptr) {
-          refill = ClaimPassive(&remote_head_, &remote_tail_, /*from_tail=*/false);
-          refill_is_remote = refill != nullptr;
-        }
-        if (refill != nullptr) {
-          MALTHUS_FAILPOINT("mcscrn.refill");
-          refill->next.store(nullptr, std::memory_order_relaxed);
-          QNode* expected = node;
-          if (tail_.compare_exchange_strong(expected, refill, std::memory_order_release,
-                                            std::memory_order_relaxed)) {
-            if (refill_is_remote) {
-              home_node_ = refill->numa_node;  // Deficit adopts the refill's node.
-            }
-          } else {
-            // An arrival raced the swap. The refill is claimed (its waiter
-            // no longer parks or cancels), so it must be granted now: graft
-            // it ahead of the arrival. Home stays unchanged — the arrival,
-            // not the refill, keeps the lock saturated.
-            QNode* chain = SpinForSuccessor(node);
-            refill->next.store(chain, std::memory_order_relaxed);
-          }
-          reprovisions_.fetch_add(1, std::memory_order_relaxed);
-          GrantClaimed(refill, me);
-          Retire(node, me);
-          return;
-        }
-        QNode* expected = node;
-        if (tail_.compare_exchange_strong(expected, nullptr, std::memory_order_release,
+    QNode* next = me->next.load(std::memory_order_acquire);
+    if (next == nullptr) {
+      if (ps_head_ != nullptr || remote_head_ != nullptr) {
+        // Deficit: re-provision from the local PS first, then the remote
+        // list.
+        const bool refill_is_remote = ps_head_ == nullptr;
+        QNode* refill = refill_is_remote ? PsPop(&remote_head_, &remote_tail_, remote_head_)
+                                         : PsPop(&ps_head_, &ps_tail_, ps_head_);
+        MALTHUS_FAILPOINT("mcscrn.refill");
+        refill->next.store(nullptr, std::memory_order_relaxed);
+        QNode* expected = me;
+        if (tail_.compare_exchange_strong(expected, refill, std::memory_order_release,
                                           std::memory_order_relaxed)) {
-          Retire(node, me);
-          return;
-        }
-        next = SpinForSuccessor(node);
-      }
-
-      // Scan a bounded prefix of the chain: remote threads go to the remote
-      // list; same-node surplus goes to the local PS (one local cull max,
-      // as in MCSCR); cancelled husks are reclaimed in place rather than
-      // passivating corpses. The chain tail is never culled.
-      std::uint32_t scanned = 0;
-      bool local_culled = false;
-      while (scanned < opts_.cull_scan_limit) {
-        QNode* after = next->next.load(std::memory_order_acquire);
-        if (after == nullptr) {
-          break;
-        }
-        if (next->status.load(std::memory_order_acquire) == kCancelled) {
-          cancelled_reclaims_.fetch_add(1, std::memory_order_relaxed);
-          next->status.store(kReclaimed, std::memory_order_release);
-        } else if (next->numa_node != home_node_) {
-          MALTHUS_FAILPOINT("mcscrn.cull");
-          PsPushHead(&remote_head_, &remote_tail_, next);
-          remote_culls_.fetch_add(1, std::memory_order_relaxed);
-        } else if (!local_culled) {
-          PsPushHead(&ps_head_, &ps_tail_, next);
-          culls_.fetch_add(1, std::memory_order_relaxed);
-          local_culled = true;
+          if (refill_is_remote) {
+            home_node_ = refill->numa_node;  // Deficit adopts the refill's node.
+          }
         } else {
-          break;
+          // An arrival raced the swap: graft the refill ahead of it. Home
+          // stays unchanged — the arrival, not the refill, keeps the lock
+          // saturated.
+          refill->next.store(SpinForSuccessor(me), std::memory_order_relaxed);
         }
-        next = after;
-        ++scanned;
-      }
-      MALTHUS_FAILPOINT("mcscrn.grant");
-      if (TryGrant(next, me)) {
-        Retire(node, me);
+        reprovisions_.fetch_add(1, std::memory_order_relaxed);
+        Grant(refill, me);
+        ReleaseQNode(me);
         return;
       }
-      // The chain tail cancelled underneath us: step over the husk.
-      cancelled_reclaims_.fetch_add(1, std::memory_order_relaxed);
-      Retire(node, me);
-      node = next;
+      QNode* expected = me;
+      if (tail_.compare_exchange_strong(expected, nullptr, std::memory_order_release,
+                                        std::memory_order_relaxed)) {
+        ReleaseQNode(me);
+        return;
+      }
+      next = SpinForSuccessor(me);
     }
+
+    // Scan a bounded prefix of the chain: remote threads go to the remote
+    // list; same-node surplus goes to the local PS (one local cull max,
+    // as in MCSCR). The chain tail is never culled.
+    std::uint32_t scanned = 0;
+    bool local_culled = false;
+    while (scanned < opts_.cull_scan_limit) {
+      QNode* after = next->next.load(std::memory_order_acquire);
+      if (after == nullptr) {
+        break;
+      }
+      if (next->numa_node != home_node_) {
+        MALTHUS_FAILPOINT("mcscrn.cull");
+        PsPushHead(&remote_head_, &remote_tail_, next);
+        remote_culls_.fetch_add(1, std::memory_order_relaxed);
+      } else if (!local_culled) {
+        PsPushHead(&ps_head_, &ps_tail_, next);
+        culls_.fetch_add(1, std::memory_order_relaxed);
+        local_culled = true;
+      } else {
+        break;
+      }
+      next = after;
+      ++scanned;
+    }
+    // Chaos: delay the grant while the successor waits.
+    MALTHUS_FAILPOINT("mcscrn.grant");
+    Grant(next, me);
+    ReleaseQNode(me);
   }
 
   // Safe to call while other threads are locking (tests attach recorders
@@ -278,125 +212,34 @@ class McscrnLock {
     return lock_migrations_.load(std::memory_order_relaxed);
   }
   std::uint64_t grants() const { return grants_.load(std::memory_order_relaxed); }
-  // Acquisitions that timed out and self-removed.
-  std::uint64_t timeouts() const { return timeouts_.load(std::memory_order_relaxed); }
-  // Cancelled nodes reclaimed by owner-side walks.
-  std::uint64_t cancelled_reclaims() const {
-    return cancelled_reclaims_.load(std::memory_order_relaxed);
-  }
 
  private:
-  // Commits the grant to a node pinned by a prior kWaiting -> kClaimed CAS.
-  // `me` is the releasing owner's node (owner_ may not be written yet when
-  // called mid-walk, so the migration check cannot go through it).
-  void GrantClaimed(QNode* next, QNode* me) {
+  // Passes the lock to `next`, which the caller has already spliced into
+  // the chain (or which was already there). `me` is the releasing owner's
+  // node.
+  void Grant(QNode* next, QNode* me) {
     grants_.fetch_add(1, std::memory_order_relaxed);
+    // Pre-read: the waiter may recycle its node (and rewrite numa_node on
+    // its next acquisition) the moment it observes the grant flag.
     if (next->numa_node != me->numa_node) {
       lock_migrations_.fetch_add(1, std::memory_order_relaxed);
     }
-    // Pre-read: the waiter may recycle its node the moment it observes the
-    // grant flag.
     const ParkerRef wake = next->wake_ref();
-    owner_ = next;
     // Release pairs with the waiter's acquire in Await(); see McscrLock::
-    // GrantClaimed for the full pairing rationale.
+    // Grant for the full pairing rationale.
     next->status.store(kGranted, std::memory_order_release);
     WaitPolicy::Wake(wake);
   }
 
-  // Grant attempt for an unclaimed chain node; false if it cancelled (the
-  // caller then owns the husk).
-  bool TryGrant(QNode* next, QNode* me) {
-    // Pre-read: the waiter may recycle its node the moment the grant CAS
-    // lands (and then rewrite numa_node on its next acquisition). Both the
-    // wake channel and numa_node are read while the chain still pins the
-    // node; post-CAS the ParkerRef's generation check guards the wake.
-    const ParkerRef wake = next->wake_ref();
-    const std::uint32_t next_numa_node = next->numa_node;
-    owner_ = next;
-    std::uint32_t expected = kWaiting;
-    if (!next->status.compare_exchange_strong(expected, kGranted, std::memory_order_release,
-                                              std::memory_order_relaxed)) {
-      return false;
-    }
-    grants_.fetch_add(1, std::memory_order_relaxed);
-    if (next_numa_node != me->numa_node) {
-      lock_migrations_.fetch_add(1, std::memory_order_relaxed);
-    }
-    WaitPolicy::Wake(wake);
-    return true;
-  }
-
-  static void Retire(QNode* node, QNode* me) {
-    if (node == me) {
-      ReleaseQNode(node);
-    } else {
-      node->status.store(kReclaimed, std::memory_order_release);
-    }
-  }
-
-  // Pops list entries (head or tail end) until one survives the kWaiting ->
-  // kClaimed pin; cancelled entries are reclaimed in passing. nullptr when
-  // the list holds only tombstones.
-  QNode* ClaimPassive(QNode** head, QNode** tail, bool from_tail) {
-    while (*head != nullptr) {
-      QNode* n = PsPop(head, tail, from_tail ? *tail : *head);
-      // Generation tripwire (see McscrLock::ClaimPs): a node whose stamping
-      // thread has detached can only be a tombstone; never pin it.
-      if (!n->OwnerCurrent()) {
-        cancelled_reclaims_.fetch_add(1, std::memory_order_relaxed);
-        n->status.store(kReclaimed, std::memory_order_release);
-        continue;
-      }
-      std::uint32_t expected = kWaiting;
-      if (n->status.compare_exchange_strong(expected, kClaimed, std::memory_order_acq_rel,
-                                            std::memory_order_acquire)) {
-        return n;
-      }
-      cancelled_reclaims_.fetch_add(1, std::memory_order_relaxed);
-      n->status.store(kReclaimed, std::memory_order_release);
-    }
-    return nullptr;
-  }
-
-  // Bounded eldest-first tombstone sweep (see McscrLock's).
-  void PurgeCancelled(QNode** head, QNode** tail) {
-    std::uint32_t scanned = 0;
-    QNode* n = *tail;
-    while (n != nullptr && scanned < kPurgeScanLimit) {
-      QNode* prev = n->list_prev;
-      if (n->status.load(std::memory_order_acquire) == kCancelled) {
-        MALTHUS_FAILPOINT("mcscrn.purge");
-        PsUnlink(head, tail, n);
-        cancelled_reclaims_.fetch_add(1, std::memory_order_relaxed);
-        n->status.store(kReclaimed, std::memory_order_release);
-      }
-      n = prev;
-      ++scanned;
-    }
-  }
-
-  static constexpr std::uint32_t kPurgeScanLimit = 4;
-
-  // Picks the eldest live remote thread, claims it, makes its node home,
-  // drains its live co-resident threads into the chain after it, and
-  // grants it. Returns false (no rotation) if the remote list drained to
-  // tombstones while claiming.
-  bool RotateHomeAndGrant(QNode* me) {
-    QNode* leader = ClaimPassive(&remote_head_, &remote_tail_, /*from_tail=*/true);
-    if (leader == nullptr) {
-      return false;
-    }
+  // Pops the eldest remote thread, makes its node home, drains its
+  // co-resident threads into the chain after it, and grants it.
+  void RotateHomeAndGrant(QNode* me) {
+    QNode* leader = PsPop(&remote_head_, &remote_tail_, remote_tail_);
     MALTHUS_FAILPOINT("mcscrn.rotate");
     home_node_ = leader->numa_node;
     home_rotations_.fetch_add(1, std::memory_order_relaxed);
 
     // Collect co-resident remote threads into a local chain segment.
-    // Cancelled ones are reclaimed instead of spliced — a husk linked into
-    // the chain would only be skipped at grant time anyway, and filtering
-    // here is cheaper than a chain walk later. Live ones need no claim:
-    // once spliced they are ordinary chain nodes, and a cancel after the
-    // splice just tombstones them in place.
     QNode* seg_head = leader;
     QNode* seg_tail = leader;
     QNode* scan = remote_tail_;
@@ -404,13 +247,8 @@ class McscrnLock {
       QNode* prev_scan = scan->list_prev;
       if (scan->numa_node == home_node_) {
         PsUnlink(&remote_head_, &remote_tail_, scan);
-        if (scan->status.load(std::memory_order_acquire) == kCancelled) {
-          cancelled_reclaims_.fetch_add(1, std::memory_order_relaxed);
-          scan->status.store(kReclaimed, std::memory_order_release);
-        } else {
-          seg_tail->next.store(scan, std::memory_order_relaxed);
-          seg_tail = scan;
-        }
+        seg_tail->next.store(scan, std::memory_order_relaxed);
+        seg_tail = scan;
       }
       scan = prev_scan;
     }
@@ -421,16 +259,15 @@ class McscrnLock {
       QNode* expected = me;
       if (tail_.compare_exchange_strong(expected, seg_tail, std::memory_order_release,
                                         std::memory_order_relaxed)) {
-        GrantClaimed(seg_head, me);
+        Grant(seg_head, me);
         ReleaseQNode(me);
-        return true;
+        return;
       }
       next = SpinForSuccessor(me);
     }
     seg_tail->next.store(next, std::memory_order_relaxed);
-    GrantClaimed(seg_head, me);
+    Grant(seg_head, me);
     ReleaseQNode(me);
-    return true;
   }
 
   // Doubly-linked list helpers shared by the local PS and the remote list.
@@ -479,8 +316,6 @@ class McscrnLock {
   std::atomic<std::uint64_t> home_rotations_{0};
   std::atomic<std::uint64_t> lock_migrations_{0};
   std::atomic<std::uint64_t> grants_{0};
-  std::atomic<std::uint64_t> timeouts_{0};
-  std::atomic<std::uint64_t> cancelled_reclaims_{0};
   std::atomic<AdmissionLog*> recorder_{nullptr};
   McscrnOptions opts_;
 };

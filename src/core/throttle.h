@@ -21,7 +21,6 @@
 #define MALTHUS_SRC_CORE_THROTTLE_H_
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 
 #include "src/core/cr_semaphore.h"
@@ -63,36 +62,6 @@ class ThrottledLock {
     gate_.Post();
   }
 
-  // Timed acquisition: the deadline bounds BOTH the gate wait and the inner
-  // lock wait (the gate's timed wait handles the committed-permit race; see
-  // CrSemaphore::TryWaitUntil). If the inner lock times out the gate permit
-  // is returned with Post(). An inner lock without native timed support is
-  // bounded only at the gate — once admitted, the acquire blocks; every
-  // lock in this repo except CLH/ticket has a native timed path.
-  bool TryLockUntil(std::chrono::steady_clock::time_point deadline) {
-    if (!gate_.TryWait()) {
-      throttled_.fetch_add(1, std::memory_order_relaxed);
-      if (!gate_.TryWaitUntil(deadline)) {
-        return false;
-      }
-    }
-    if constexpr (requires(Lock& l, std::chrono::steady_clock::time_point d) {
-                    { l.TryLockUntil(d) } -> std::convertible_to<bool>;
-                  }) {
-      if (inner_.TryLockUntil(deadline)) {
-        return true;
-      }
-      gate_.Post();
-      return false;
-    } else {
-      inner_.lock();
-      return true;
-    }
-  }
-  bool TryLockFor(std::chrono::nanoseconds timeout) {
-    return TryLockUntil(std::chrono::steady_clock::now() + timeout);
-  }
-
   bool try_lock() {
     if (!gate_.TryWait()) {
       return false;
@@ -117,7 +86,6 @@ class ThrottledLock {
 
   // Times an arrival found the gate full and was passivated.
   std::uint64_t throttled() const { return throttled_.load(std::memory_order_relaxed); }
-  std::size_t gate_waiters() const { return gate_.WaiterCount(); }
 
   Lock& inner() { return inner_; }
 

@@ -7,13 +7,12 @@
 #ifndef MALTHUS_SRC_LOCKS_ANY_LOCK_H_
 #define MALTHUS_SRC_LOCKS_ANY_LOCK_H_
 
-#include <chrono>
+#include <concepts>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "src/locks/handover_guard.h"
-#include "src/locks/timed.h"
 #include "src/metrics/admission_log.h"
 
 namespace malthus {
@@ -30,19 +29,6 @@ class AnyLock {
   // algorithms with no non-blocking path (CLH); LockAdapter overrides it
   // whenever the wrapped lock exposes try_lock.
   virtual bool try_lock() { return false; }
-
-  // Deadline-bounded acquire. The base default is the conservative
-  // spin-poll-try_lock-with-backoff fallback (locks/timed.h); LockAdapter
-  // forwards to the wrapped lock's native cancellable TryLockUntil when it
-  // has one — every queue lock in the registry does (see docs/handover.md
-  // for the coverage matrix). Returns false iff the deadline passed without
-  // acquisition.
-  virtual bool TryLockUntil(std::chrono::steady_clock::time_point deadline) {
-    return PollTryLockUntil(*this, deadline);
-  }
-  bool TryLockFor(std::chrono::nanoseconds timeout) {
-    return TryLockUntil(std::chrono::steady_clock::now() + timeout);
-  }
 
   // Anticipatory handover hint (see locks/handover_guard.h, re-exported
   // here so factory users get the whole opt-in surface from one include):
@@ -72,18 +58,11 @@ class LockAdapter final : public AnyLock {
   std::string name() const override { return name_; }
 
   bool try_lock() override {
-    if constexpr (HasTryLock<L>) {
+    if constexpr (requires(L& l) { { l.try_lock() } -> std::convertible_to<bool>; }) {
       return impl_.try_lock();
     } else {
       return false;
     }
-  }
-
-  // Native timed acquire when available; spin-poll fallback otherwise;
-  // locks with neither (null, clh) degrade to a blocking lock() that
-  // always reports success.
-  bool TryLockUntil(std::chrono::steady_clock::time_point deadline) override {
-    return TryLockUntilOrPoll(impl_, deadline);
   }
 
   void PrepareHandover() override {

@@ -22,11 +22,6 @@
 #ifndef MALTHUS_SRC_LOCKS_HANDOVER_GUARD_H_
 #define MALTHUS_SRC_LOCKS_HANDOVER_GUARD_H_
 
-// Re-exported: generic deadline-bounded acquisition (PollTryLockUntil,
-// TryLockUntilOrPoll) travels with the opt-in guard surface so call sites
-// get both from one include.
-#include "src/locks/timed.h"
-
 namespace malthus {
 
 // Calls lock.PrepareHandover() if the lock provides it; no-op otherwise.

@@ -7,26 +7,6 @@
 namespace malthus {
 namespace {
 
-// Process-wide gauge of zombied (cancelled, not yet reclaimed-and-reaped)
-// nodes. Leak tests drain lock activity and assert it returns to zero.
-std::atomic<std::uint64_t> g_outstanding_zombies{0};
-
-// Zombie nodes whose owning thread exited while a granter still held the
-// reclaim pin. The exiting arena parks them here instead of leaking its
-// slab (the old behavior); any thread can later scavenge the ones whose
-// status has reached kReclaimed back into the slab. Guarded by a TinyLock —
-// the orphanage is touched only on thread exit and in drain loops, never
-// on a lock fast path.
-struct QNodeOrphanage {
-  slab_detail::TinyLock lock;
-  std::vector<QNode*> nodes;
-};
-
-QNodeOrphanage& Orphanage() {
-  static QNodeOrphanage orphanage;
-  return orphanage;
-}
-
 // Thread-local pool of QNodes checked out of the process-wide slab
 // (QNodeSlab). Nodes are recycled across locks but never cross threads
 // while checked out (a node is always released by the thread that acquired
@@ -38,25 +18,13 @@ struct NodeArena {
   static constexpr std::size_t kRefillBatch = 16;
 
   std::vector<QNode*> free_list;
-  // Cancelled nodes a granter may still touch; reaped (status ==
-  // kReclaimed, acquire) back into free_list on the next AcquireQNode.
-  std::vector<QNode*> zombies;
 
-  // Thread exit: every node this thread checked out goes back to the slab.
-  // Free nodes return directly. Zombies are reaped one last time; any still
-  // pinned by an in-flight granter move to the orphanage (their gauge count
-  // rides along) so the memory is reclaimed as soon as the granter's
-  // kReclaimed store lands and someone scavenges — nothing is leaked.
+  // Thread exit: the free nodes go back to the slab. A node is off the
+  // free list only between lock() and the matching unlock() (or grant, for
+  // LIFO-CR), so a thread that exits holding no lock returns every node.
   ~NodeArena() {
-    Reap();
     for (QNode* n : free_list) {
       QNodeSlab().Return(n);
-    }
-    if (!zombies.empty()) {
-      QNodeOrphanage& o = Orphanage();
-      o.lock.lock();
-      o.nodes.insert(o.nodes.end(), zombies.begin(), zombies.end());
-      o.lock.unlock();
     }
   }
 
@@ -65,22 +33,6 @@ struct NodeArena {
     for (std::size_t i = 0; i < kRefillBatch; ++i) {
       free_list.push_back(QNodeSlab().Checkout().obj);
     }
-  }
-
-  // Moves reclaimed zombies back to the free list. The acquire load pairs
-  // with the granter's release store of kReclaimed, ordering the granter's
-  // last accesses to the node before its reuse.
-  void Reap() {
-    std::size_t kept = 0;
-    for (QNode* z : zombies) {
-      if (z->status.load(std::memory_order_acquire) == kReclaimed) {
-        free_list.push_back(z);
-        g_outstanding_zombies.fetch_sub(1, std::memory_order_relaxed);
-      } else {
-        zombies[kept++] = z;
-      }
-    }
-    zombies.resize(kept);
   }
 };
 
@@ -93,9 +45,6 @@ NodeArena& Arena() {
 
 QNode* AcquireQNode() {
   NodeArena& arena = Arena();
-  if (!arena.zombies.empty()) {
-    arena.Reap();
-  }
   if (arena.free_list.empty()) {
     arena.Refill();
   }
@@ -106,47 +55,7 @@ QNode* AcquireQNode() {
 
 void ReleaseQNode(QNode* node) { Arena().free_list.push_back(node); }
 
-void ZombieQNode(QNode* node) {
-  g_outstanding_zombies.fetch_add(1, std::memory_order_relaxed);
-  Arena().zombies.push_back(node);
-}
-
-std::uint64_t OutstandingZombieQNodes() {
-  return g_outstanding_zombies.load(std::memory_order_relaxed);
-}
-
-std::size_t ReapZombieQNodes() {
-  NodeArena& arena = Arena();
-  arena.Reap();
-  return arena.zombies.size();
-}
-
-std::size_t ScavengeOrphanQNodes() {
-  QNodeOrphanage& o = Orphanage();
-  o.lock.lock();
-  std::size_t kept = 0;
-  std::size_t reclaimed = 0;
-  for (QNode* n : o.nodes) {
-    if (n->status.load(std::memory_order_acquire) == kReclaimed) {
-      QNodeSlab().Return(n);
-      g_outstanding_zombies.fetch_sub(1, std::memory_order_relaxed);
-      ++reclaimed;
-    } else {
-      o.nodes[kept++] = n;
-    }
-  }
-  o.nodes.resize(kept);
-  o.lock.unlock();
-  return reclaimed;
-}
-
-std::size_t OrphanedQNodes() {
-  QNodeOrphanage& o = Orphanage();
-  o.lock.lock();
-  const std::size_t n = o.nodes.size();
-  o.lock.unlock();
-  return n;
-}
+std::uint64_t OutstandingZombieQNodes() { return 0; }
 
 SlabAllocator<QNode>& QNodeSlab() {
   static SlabAllocator<QNode> slab;

@@ -72,7 +72,7 @@ void PthreadStyleMutex::WakeOneWaiter() {
     if (node == nullptr) {
       break;
     }
-    // Chaos: widen the pop-vs-timeout window before the heir-selection CAS.
+    // Chaos: widen the pop-vs-abandon window before the heir-selection CAS.
     MALTHUS_FAILPOINT("pthread.pop");
     const ParkerRef wake = node->wake;  // Copy before the CAS: see header note.
     std::uint32_t expected = kOnStack;
@@ -179,110 +179,6 @@ void PthreadStyleMutex::lock() {
 }
 
 bool PthreadStyleMutex::try_lock() { return TryAcquire(); }
-
-bool PthreadStyleMutex::TryLockUntil(std::chrono::steady_clock::time_point deadline) {
-  ThreadCtx& self = Self();
-  // Phase 1: the same bounded, spinner-capped spin as lock(). The budget is
-  // a few hundred iterations — far below any realistic deadline — so the
-  // clock is not consulted until the parking phase.
-  if (spinners_.load(std::memory_order_relaxed) < max_spinners_) {
-    spinners_.fetch_add(1, std::memory_order_relaxed);
-    ExponentialBackoff backoff(8, 512);
-    XorShift64& rng = ThreadLocalRng();
-    for (std::uint32_t i = 0; i < spin_budget_; ++i) {
-      if (TryAcquire()) {
-        spinners_.fetch_sub(1, std::memory_order_relaxed);
-        if (recorder_ != nullptr) {
-          recorder_->Record(self.id);
-        }
-        return true;
-      }
-      backoff.Pause(rng);
-    }
-    spinners_.fetch_sub(1, std::memory_order_relaxed);
-  }
-
-  // Phase 2: enqueue and park with a deadline.
-  WaitNode* node = new WaitNode();
-  node->wake = SelfWakeRef(self);
-  while (true) {
-    node->state.store(kOnStack, std::memory_order_relaxed);
-    node->next = nullptr;
-    Push(node);
-    // Retry once after publishing the node: an unlock that drained between
-    // our spin phase and the push would otherwise be a missed wake.
-    if (TryAcquire()) {
-      std::uint32_t expected = kOnStack;
-      if (node->state.compare_exchange_strong(expected, kAbandoned, std::memory_order_acq_rel,
-                                              std::memory_order_acquire)) {
-        node = nullptr;  // A future popper frees the node.
-      } else {
-        // A popper beat us to the node (kPopped); absorb the imminent permit.
-        self.parker.Park();
-        delete node;
-      }
-      if (recorder_ != nullptr) {
-        recorder_->Record(self.id);
-      }
-      return true;
-    }
-    while (node->state.load(std::memory_order_acquire) != kPopped) {
-      const auto now = std::chrono::steady_clock::now();
-      if (now >= deadline) {
-        // Chaos: widen the timeout-vs-pop window before abandoning.
-        MALTHUS_FAILPOINT("pthread.cancel");
-        std::uint32_t expected = kOnStack;
-        if (node->state.compare_exchange_strong(expected, kAbandoned, std::memory_order_acq_rel,
-                                                std::memory_order_acquire)) {
-          // The abandoning CAS hands the node to a future popper, which
-          // skips it and keeps popping — no wake is wasted on us and no
-          // baton is dropped.
-          timeouts_.fetch_add(1, std::memory_order_relaxed);
-          return false;
-        }
-        // kPopped: a popper chose us as heir and its Unpark is imminent.
-        // Absorb the permit, make one last attempt, and on failure hand the
-        // succession baton onward — the lock may be free with every other
-        // waiter parked, and leaving silently would be a lost wakeup.
-        self.parker.Park();
-        const bool acquired = TryAcquire();
-        delete node;
-        if (acquired) {
-          if (recorder_ != nullptr) {
-            recorder_->Record(self.id);
-          }
-          return true;
-        }
-        WakeOneWaiter();
-        timeouts_.fetch_add(1, std::memory_order_relaxed);
-        return false;
-      }
-      if (self.parker.ParkFor(deadline - now)) {
-        PostWakeRespin(kMinPostWakeSpin,
-                       [&] { return node->state.load(std::memory_order_acquire) == kPopped; });
-      }
-    }
-    if (TryAcquire()) {
-      delete node;
-      if (recorder_ != nullptr) {
-        recorder_->Record(self.id);
-      }
-      return true;
-    }
-    // Beaten by a barging arrival after being popped; we own the node again.
-    if (std::chrono::steady_clock::now() >= deadline) {
-      // We consumed the popper's wake. The lock is held by the barger, whose
-      // unlock will re-dispatch — but re-dispatch anyway in case it freed
-      // the lock between our TryAcquire and now (defer-and-avoid makes a
-      // redundant call cheap and it is never wrong).
-      delete node;
-      WakeOneWaiter();
-      timeouts_.fetch_add(1, std::memory_order_relaxed);
-      return false;
-    }
-    // Re-enqueue and keep waiting.
-  }
-}
 
 void PthreadStyleMutex::unlock() {
   word_.store(0, std::memory_order_release);

@@ -16,10 +16,12 @@
 //   * Pops are serialized by a tiny internal spinlock. With a single
 //     consumer, Treiber-stack pop is ABA-free (a node cannot be popped and
 //     re-pushed behind the popper's back). Pushes stay lock-free.
-//   * A waiter that self-acquires while its node is still on the stack CASes
-//     the node kOnStack→kAbandoned, transferring ownership (and the duty to
-//     free it) to whichever popper later removes it; poppers skip abandoned
-//     nodes so a wake is never wasted on a thread that is no longer waiting.
+//   * A waiter whose post-push retry takes the lock while its node is still
+//     on the stack CASes the node kOnStack→kAbandoned, transferring
+//     ownership (and the duty to free it) to whichever popper later removes
+//     it; poppers skip abandoned nodes so a wake is never wasted on a
+//     thread that is no longer waiting. Every other waiter leaves the stack
+//     only by being popped.
 //   * A popper copies node->wake *before* its kOnStack→kPopped CAS and
 //     never touches the node afterwards, so the waiter may reuse or free the
 //     node as soon as it observes kPopped. The copied ParkerRef is
@@ -30,7 +32,6 @@
 #define MALTHUS_SRC_LOCKS_PTHREAD_STYLE_H_
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 
 #include "src/metrics/admission_log.h"
@@ -50,18 +51,6 @@ class PthreadStyleMutex {
   void lock();
   bool try_lock();
   void unlock();
-
-  // Timed acquisition. A timed-out stack waiter reuses the existing
-  // kAbandoned tombstone protocol (self-acquirers already needed it):
-  // the kOnStack -> kAbandoned CAS transfers node ownership to whichever
-  // popper later removes it. If a popper won the race (kPopped — we were
-  // chosen heir), the waiter absorbs the imminent permit, makes one last
-  // acquire attempt, and on failure re-dispatches the succession baton via
-  // WakeOneWaiter() so a free lock never strands the remaining sleepers.
-  bool TryLockUntil(std::chrono::steady_clock::time_point deadline);
-  bool TryLockFor(std::chrono::nanoseconds timeout) {
-    return TryLockUntil(std::chrono::steady_clock::now() + timeout);
-  }
 
   // Anticipatory handover (wake-ahead, §5.2): called by the owner near the
   // end of its critical section, before unlock(). Predicts the waiter the
@@ -86,8 +75,6 @@ class PthreadStyleMutex {
   std::uint64_t avoided_unparks() const {
     return avoided_unparks_.load(std::memory_order_relaxed);
   }
-  // Timed acquisitions that gave up at their deadline.
-  std::uint64_t timeouts() const { return timeouts_.load(std::memory_order_relaxed); }
 
  private:
   enum WaitState : std::uint32_t { kOnStack = 0, kPopped = 1, kAbandoned = 2 };
@@ -114,7 +101,6 @@ class PthreadStyleMutex {
   std::atomic<std::uint32_t> pop_lock_{0};
   std::atomic<std::uint32_t> spinners_{0};
   std::atomic<std::uint64_t> avoided_unparks_{0};
-  std::atomic<std::uint64_t> timeouts_{0};
   AdmissionLog* recorder_ = nullptr;
   std::uint32_t spin_budget_ = 512;
   std::uint32_t max_spinners_ = 8;

@@ -9,7 +9,6 @@
 #define MALTHUS_SRC_LOCKS_TAS_H_
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 
 #include "src/metrics/admission_log.h"
@@ -27,7 +26,7 @@ class TtasLock {
   TtasLock& operator=(const TtasLock&) = delete;
 
   void lock() {
-    ExponentialBackoff backoff(backoff_floor_, backoff_ceiling_);
+    ExponentialBackoff backoff(kBackoffFloor, kBackoffCeiling);
     XorShift64& rng = ThreadLocalRng();
     while (true) {
       // Test: spin on a read-only load to avoid write-invalidation storms.
@@ -61,44 +60,17 @@ class TtasLock {
            word_.exchange(1, std::memory_order_acquire) == 0;
   }
 
-  // Timed acquisition: the same backoff-paced global spin, bounded by the
-  // deadline. There is no waiter list, so cancellation is trivially just
-  // ceasing to spin — no tombstones, no succession duty. The clock is
-  // probed once per backoff round (the pauses are the dominant cost).
-  bool TryLockUntil(std::chrono::steady_clock::time_point deadline) {
-    ExponentialBackoff backoff(backoff_floor_, backoff_ceiling_);
-    XorShift64& rng = ThreadLocalRng();
-    while (true) {
-      if (try_lock()) {
-        if (recorder_ != nullptr) {
-          recorder_->Record(Self().id);
-        }
-        return true;
-      }
-      if (std::chrono::steady_clock::now() >= deadline) {
-        return false;
-      }
-      backoff.Pause(rng);
-    }
-  }
-  bool TryLockFor(std::chrono::nanoseconds timeout) {
-    return TryLockUntil(std::chrono::steady_clock::now() + timeout);
-  }
-
   void unlock() { word_.store(0, std::memory_order_release); }
 
   void set_recorder(AdmissionLog* recorder) { recorder_ = recorder; }
-  void set_backoff(std::uint32_t floor, std::uint32_t ceiling) {
-    backoff_floor_ = floor;
-    backoff_ceiling_ = ceiling;
-  }
   void set_anderson_recheck(bool enabled) { anderson_recheck_ = enabled; }
 
  private:
+  static constexpr std::uint32_t kBackoffFloor = 16;
+  static constexpr std::uint32_t kBackoffCeiling = 4096;
+
   alignas(kCacheLineSize) std::atomic<std::uint32_t> word_{0};
   AdmissionLog* recorder_ = nullptr;
-  std::uint32_t backoff_floor_ = 16;
-  std::uint32_t backoff_ceiling_ = 4096;
   bool anderson_recheck_ = false;
 };
 

@@ -178,8 +178,8 @@ bool Parker::DrainPermit() {
 
 void Parker::Unpark() {
   // Chaos: widen the window between the granter's decision to wake and the
-  // permit post (the interval where the waiter may park, time out, or
-  // cancel underneath the wake).
+  // permit post (the interval where the waiter may park, or time out of a
+  // ParkFor, underneath the wake).
   MALTHUS_FAILPOINT("park.unpark.delay");
   Post();
 }

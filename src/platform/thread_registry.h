@@ -55,7 +55,7 @@ inline std::atomic<std::uint64_t> g_stale_wakes_suppressed{0};
 }  // namespace detail
 
 // A generation-validated wake channel: {context, tenancy} captured while
-// the target thread was pinned (e.g. before a grant CAS, while the waiter
+// the target thread was pinned (e.g. before a grant store, while the waiter
 // cannot exit). After the pin is dropped the holder may still call
 // Unpark()/WakeAhead(): if the tenancy ended, the call is a counted no-op
 // instead of a use-after-free. Copyable and trivially destructible — lock

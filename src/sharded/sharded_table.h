@@ -149,7 +149,7 @@ class ShardedTable {
   }
 
   // Direct shard access for tests and lock-level instrumentation (spin
-  // budgets, admission recorders, timed-acquisition experiments).
+  // budgets, admission recorders, try_lock() storms).
   Lock& shard_lock(std::size_t index) { return shards_[index]->lock; }
   const ShardCounters& shard_counters(std::size_t index) const {
     return shards_[index]->counters;

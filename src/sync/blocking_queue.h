@@ -10,7 +10,6 @@
 #define MALTHUS_SRC_SYNC_BLOCKING_QUEUE_H_
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <deque>
 
@@ -53,51 +52,6 @@ class BoundedBlockingQueue {
     lock_.unlock();
     not_full_.Signal();
     return value;
-  }
-
-  // Timed variants: false on deadline. Each failed condvar wait re-checks
-  // the predicate once under the lock (a signal may have raced the timeout
-  // and been absorbed by WaitUntil's committed-signal path).
-  bool PushUntil(T value, std::chrono::steady_clock::time_point deadline) {
-    lock_.lock();
-    lock_acquisitions_.fetch_add(1, std::memory_order_relaxed);
-    while (items_.size() >= capacity_) {
-      futile_waits_.fetch_add(1, std::memory_order_relaxed);
-      const bool signaled = not_full_.WaitUntil(lock_, deadline);
-      lock_acquisitions_.fetch_add(1, std::memory_order_relaxed);
-      if (!signaled && items_.size() >= capacity_) {
-        lock_.unlock();
-        return false;
-      }
-    }
-    items_.push_back(std::move(value));
-    lock_.unlock();
-    not_empty_.Signal();
-    return true;
-  }
-  bool PushFor(T value, std::chrono::nanoseconds timeout) {
-    return PushUntil(std::move(value), std::chrono::steady_clock::now() + timeout);
-  }
-
-  bool PopUntil(T* out, std::chrono::steady_clock::time_point deadline) {
-    lock_.lock();
-    lock_acquisitions_.fetch_add(1, std::memory_order_relaxed);
-    while (items_.empty()) {
-      const bool signaled = not_empty_.WaitUntil(lock_, deadline);
-      lock_acquisitions_.fetch_add(1, std::memory_order_relaxed);
-      if (!signaled && items_.empty()) {
-        lock_.unlock();
-        return false;
-      }
-    }
-    *out = std::move(items_.front());
-    items_.pop_front();
-    lock_.unlock();
-    not_full_.Signal();
-    return true;
-  }
-  bool PopFor(T* out, std::chrono::nanoseconds timeout) {
-    return PopUntil(out, std::chrono::steady_clock::now() + timeout);
   }
 
   bool TryPop(T* out) {

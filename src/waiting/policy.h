@@ -46,7 +46,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 
 #include "src/platform/cpu.h"
@@ -111,41 +110,6 @@ inline std::atomic<std::uint32_t> g_active_spinners{0};
 // for tests and instrumentation).
 inline std::atomic<std::uint64_t> g_spin_yield_escalations{0};
 
-// Iterations of spinning between steady_clock reads in the deadline-aware
-// spin loops. A clock read is tens of ns; amortizing it over a slice keeps
-// timed spinning within noise of untimed spinning (bench_timeout_overhead
-// checks this stays ~0).
-inline constexpr std::uint32_t kDeadlineProbeSlice = 256;
-
-// Deadline-checked local spin shared by the non-parking policies' AwaitUntil:
-// spins until *flag != expected (true) or `deadline` passes (false),
-// reading the clock once per slice. When `yield_when_oversubscribed`, cedes
-// the CPU at each slice boundary while the spinner population exceeds the
-// effective CPU count (the YieldingSpinPolicy discipline; timed waits are
-// rare enough that the simpler per-slice yield replaces the full
-// grace-burst state machine).
-template <typename T>
-inline bool SpinUntil(const std::atomic<T>& flag, T expected_while_waiting,
-                      std::chrono::steady_clock::time_point deadline,
-                      bool yield_when_oversubscribed) {
-  while (true) {
-    for (std::uint32_t i = 0; i < kDeadlineProbeSlice; ++i) {
-      if (flag.load(std::memory_order_acquire) != expected_while_waiting) {
-        return true;
-      }
-      CpuRelax();
-    }
-    if (std::chrono::steady_clock::now() >= deadline) {
-      return flag.load(std::memory_order_acquire) != expected_while_waiting;
-    }
-    if (yield_when_oversubscribed &&
-        g_active_spinners.load(std::memory_order_relaxed) >=
-            static_cast<std::uint32_t>(EffectiveCpuCount())) {
-      sched_yield();
-    }
-  }
-}
-
 }  // namespace detail
 
 struct SpinPolicy {
@@ -157,17 +121,6 @@ struct SpinPolicy {
     while (flag.load(std::memory_order_acquire) == expected_while_waiting) {
       CpuRelax();
     }
-  }
-
-  // Deadline-bounded wait: true iff *flag != expected was observed. On
-  // false the caller runs its cancellation protocol (whose CAS, not this
-  // return value, decides whether the grant won the race).
-  template <typename T>
-  static bool AwaitUntil(const std::atomic<T>& flag, T expected_while_waiting, Parker& /*parker*/,
-                         std::chrono::steady_clock::time_point deadline,
-                         std::uint32_t /*spin_budget*/) {
-    return detail::SpinUntil(flag, expected_while_waiting, deadline,
-                             /*yield_when_oversubscribed=*/false);
   }
 
   static void Wake(Parker& /*parker*/) {}
@@ -256,20 +209,6 @@ struct YieldingSpinPolicy {
     detail::g_active_spinners.fetch_sub(1, std::memory_order_relaxed);
   }
 
-  // Deadline-bounded wait. Participates in the spinner gauge (so untimed
-  // YieldingSpin waiters see timed ones as pressure) and cedes the CPU per
-  // slice while oversubscribed.
-  template <typename T>
-  static bool AwaitUntil(const std::atomic<T>& flag, T expected_while_waiting, Parker& /*parker*/,
-                         std::chrono::steady_clock::time_point deadline,
-                         std::uint32_t /*spin_budget*/) {
-    detail::g_active_spinners.fetch_add(1, std::memory_order_relaxed);
-    const bool observed = detail::SpinUntil(flag, expected_while_waiting, deadline,
-                                            /*yield_when_oversubscribed=*/true);
-    detail::g_active_spinners.fetch_sub(1, std::memory_order_relaxed);
-    return observed;
-  }
-
   static void Wake(Parker& /*parker*/) {}
   static void Wake(const ParkerRef& /*ref*/) {}
 
@@ -308,39 +247,6 @@ struct SpinThenParkPolicy {
     }
   }
 
-  // Deadline-bounded spin-then-park: bounded spin, then ParkFor(remaining)
-  // rounds with the shared post-wake re-spin after each permit. Returns
-  // true iff *flag != expected was observed; false once the deadline
-  // passes. A permit consumed by a ParkFor that then times out on the flag
-  // is not "lost": permits here always precede a flag transition (grant or
-  // wake-ahead hint), and the caller's cancellation CAS arbitrates.
-  template <typename T>
-  static bool AwaitUntil(const std::atomic<T>& flag, T expected_while_waiting, Parker& parker,
-                         std::chrono::steady_clock::time_point deadline,
-                         std::uint32_t spin_budget) {
-    for (std::uint32_t i = 0; i < spin_budget; ++i) {
-      if (flag.load(std::memory_order_acquire) != expected_while_waiting) {
-        return true;
-      }
-      CpuRelax();
-    }
-    const std::uint32_t respin = std::max(spin_budget, kMinPostWakeSpin);
-    while (flag.load(std::memory_order_acquire) == expected_while_waiting) {
-      const auto now = std::chrono::steady_clock::now();
-      if (now >= deadline) {
-        return flag.load(std::memory_order_acquire) != expected_while_waiting;
-      }
-      if (parker.ParkFor(deadline - now)) {
-        // Permit consumed — a grant is landing or a wake-ahead hint fired;
-        // re-spin for the flag before deciding to re-park.
-        PostWakeRespin(respin, [&] {
-          return flag.load(std::memory_order_acquire) != expected_while_waiting;
-        });
-      }
-    }
-    return true;
-  }
-
   static void Wake(Parker& parker) { parker.Unpark(); }
   static void Wake(const ParkerRef& ref) { ref.Unpark(); }
 };
@@ -354,15 +260,6 @@ struct ParkPolicy {
     while (flag.load(std::memory_order_acquire) == expected_while_waiting) {
       parker.Park();
     }
-  }
-
-  // Deadline-bounded prompt parking (STP with zero spin budget).
-  template <typename T>
-  static bool AwaitUntil(const std::atomic<T>& flag, T expected_while_waiting, Parker& parker,
-                         std::chrono::steady_clock::time_point deadline,
-                         std::uint32_t /*spin_budget*/) {
-    return SpinThenParkPolicy::AwaitUntil(flag, expected_while_waiting, parker, deadline,
-                                          /*spin_budget=*/0u);
   }
 
   static void Wake(Parker& parker) { parker.Unpark(); }

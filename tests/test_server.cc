@@ -20,7 +20,6 @@
 
 #include "src/chaos/failpoint.h"
 #include "src/locks/lock_base.h"
-#include "src/locks/mcs.h"
 #include "src/platform/park.h"
 #include "src/server/admission_queue.h"
 #include "src/server/backend.h"
@@ -604,8 +603,8 @@ std::size_t AwaitThreadCount(std::size_t want) {
 // its thread count after every Start/Stop round.
 TEST(KvServer, StartsOnlyTheWorkersThatServe) {
   test::StallWatchdog watchdog(30s, [] {
-    std::fprintf(stderr, "[StartsOnlyTheWorkers] stalled; zombie gauge=%llu\n",
-                 static_cast<unsigned long long>(OutstandingZombieQNodes()));
+    std::fprintf(stderr, "[StartsOnlyTheWorkers] stalled; qnode slots live=%llu\n",
+                 static_cast<unsigned long long>(QNodeSlab().SlotsLive()));
   });
   const std::size_t baseline = ThreadCount();
   KvServerOptions opts = SmallServer("lru", "mcs-stp");
@@ -646,11 +645,12 @@ TEST(KvServer, StartsOnlyTheWorkersThatServe) {
 }
 
 TEST(KvServer, StartStopChurnLeaksNothing) {
-  // Short-lived worker pools leave no timed-waiter husks behind: no server
-  // thread makes a timed acquire, and an exiting worker hands its QNodes
-  // back to the slab. The process is quiet here, so the zombie gauge must
-  // end where it started.
-  const std::uint64_t before = OutstandingZombieQNodes();
+  // Short-lived worker pools leave nothing behind: an exiting worker hands
+  // its QNodes back to the slab, so once the workers have joined the slab's
+  // live-slot count is back where it started. This thread's own QNode pool
+  // is filled first, so its first refill cannot move the count.
+  ReleaseQNode(AcquireQNode());
+  const std::uint64_t before = QNodeSlab().SlotsLive();
   for (int round = 0; round < 5; ++round) {
     KvServerOptions opts = SmallServer("lru", "mcs-stp");
     opts.workers = 4;
@@ -663,44 +663,7 @@ TEST(KvServer, StartStopChurnLeaksNothing) {
     }
     server.Stop();
   }
-  EXPECT_EQ(OutstandingZombieQNodes(), before);
-}
-
-// The zombie gauge is process-wide: a timed-out waiter on a lock the server
-// never touches keeps its husk counted until that thread acquires again or
-// exits. Stop() must stop, join and account regardless.
-TEST(KvServer, StopIgnoresATimedOutWaiterOnAnotherLock) {
-  const std::uint64_t before = OutstandingZombieQNodes();
-  KvServer server(SmallServer("lru", "mcs-stp"));
-  ASSERT_TRUE(server.Start());
-  constexpr int kRequests = 200;
-  for (int i = 0; i < kRequests; ++i) {
-    server.Submit(Req(static_cast<std::uint32_t>(i % 2), static_cast<std::uint64_t>(i)));
-  }
-  McsStpLock other;
-  other.lock();
-  std::atomic<bool> timed_out{false};
-  std::atomic<bool> release{false};
-  std::thread waiter([&] {
-    EXPECT_FALSE(other.TryLockFor(5ms));  // times out behind the held lock
-    timed_out.store(true);
-    // No further acquire, so the husk stays on this thread's zombie list.
-    while (!release.load()) {
-      std::this_thread::sleep_for(1ms);
-    }
-  });
-  while (!timed_out.load()) {
-    std::this_thread::sleep_for(1ms);
-  }
-  EXPECT_GE(OutstandingZombieQNodes(), before + 1);
-  server.Stop();
-  const TenantStats agg = server.Aggregate();
-  EXPECT_EQ(agg.offered, static_cast<std::uint64_t>(kRequests));
-  EXPECT_EQ(agg.served + agg.shed_total(), agg.offered);
-  other.unlock();  // the unlock walk reclaims the husk
-  release.store(true);
-  waiter.join();  // the exiting thread's arena reaps it
-  EXPECT_EQ(OutstandingZombieQNodes(), before);
+  EXPECT_EQ(QNodeSlab().SlotsLive(), before);
 }
 
 // ---------------------------------------------------------------------------
@@ -756,8 +719,8 @@ TEST(LoadGen, TenantWeightsShapeOfferedLoad) {
 // runs this pinned to one CPU.
 TEST(ServerSweep, SmokeUnderWatchdogNoShedStormOrHang) {
   test::StallWatchdog watchdog(30s, [] {
-    std::fprintf(stderr, "[ServerSweep] stalled; zombie gauge=%llu\n",
-                 static_cast<unsigned long long>(OutstandingZombieQNodes()));
+    std::fprintf(stderr, "[ServerSweep] stalled; qnode slots live=%llu\n",
+                 static_cast<unsigned long long>(QNodeSlab().SlotsLive()));
   });
   for (const bool admission : {true, false}) {
     KvServerOptions opts;

@@ -1,18 +1,16 @@
 // Memory-hygiene tests for the generation-stamped slab layer (alloc/slab.h)
 // and its clients: ThreadCtx checkout/return in the thread registry, the
-// QNode pools + orphanage under the queue locks, and KvServer worker churn.
+// QNode pools under the queue locks, and KvServer worker churn.
 //
 // The properties pinned here are exactly the ones the slab exists for:
 //   * slab bytes are flat under churn (thread attach/detach, server
-//     start/stop) — the old intentional leaks would show as monotonic
-//     growth;
+//     start/stop), and every slot an exited thread checked out is back
+//     (SlotsLive() returns to its warm value) — the old intentional leaks
+//     would show as monotonic growth;
 //   * a wake aimed at an exited thread's recycled ThreadCtx slot is a
 //     counted no-op (ParkerRef generation validation), both in the unit
 //     sense and driven through the real MCS post-grant window via the
-//     "mcs.wake" FailPoint;
-//   * a thread that exits with cancelled-but-unreclaimed QNodes hands them
-//     to the orphanage, and ScavengeOrphanQNodes() returns them to the
-//     slab once their granters release the pins.
+//     "mcs.wake" FailPoint.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -150,12 +148,9 @@ TEST(ThreadChurn, SlabBytesStayFlat) {
         (void)Self().id;  // Attach: ThreadCtx checkout.
         lock.lock();      // QNode arena refill from the slab.
         lock.unlock();
-        EXPECT_TRUE(lock.TryLockFor(std::chrono::seconds(1)));
-        lock.unlock();
       });
       t.join();
     }
-    ScavengeOrphanQNodes();
   };
   churn(32);  // Warm: magazines populated, slabs carved.
   const std::size_t warm = TotalSlabBytesReserved();
@@ -207,39 +202,8 @@ TEST(ThreadChurn, ConcurrentAttachDetachKeepsSlotsBalanced) {
   EXPECT_EQ(ThreadCtxSlab().SlotsLive(), ctx_live);
 }
 
-TEST(Orphanage, ExitWithPinnedHuskIsScavengedAfterRelease) {
-  // Deterministic husk: a waiter times out behind a held lock (tombstone
-  // cancellation), then its thread exits while the owner still pins the
-  // chain. The husk must ride the orphanage, not leak.
-  ScavengeOrphanQNodes();  // Clear leftovers from other tests.
-  const std::size_t orphans_before = OrphanedQNodes();
-  McsStpLock lock;
-  lock.lock();
-  std::thread t([&] {
-    EXPECT_FALSE(lock.TryLockFor(std::chrono::milliseconds(10)));
-  });
-  t.join();  // Exits with the cancelled node unreclaimed -> orphanage.
-  EXPECT_GE(OrphanedQNodes(), orphans_before + 1);
-  // While the owner holds the lock the husk is not yet kReclaimed; the
-  // scavenger must leave it pinned (generation-validated kClaimed-style
-  // pin: reclaiming now would hand the slab a node the unlocker is about
-  // to walk).
-  ScavengeOrphanQNodes();
-  EXPECT_GE(OrphanedQNodes(), orphans_before + 1);
-  lock.unlock();  // Steps over the husk and releases it (kReclaimed).
-  // The release store is immediate, but be generous to slow CI.
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(5);
-  while (OrphanedQNodes() > orphans_before &&
-         std::chrono::steady_clock::now() < deadline) {
-    ScavengeOrphanQNodes();
-    std::this_thread::yield();
-  }
-  EXPECT_EQ(OrphanedQNodes(), orphans_before);
-}
-
 TEST(StaleWake, McsPostGrantWakeToExitedThreadIsNoOp) {
-  // Drives the real window: granter commits the grant CAS, stalls (the
+  // Drives the real window: granter stores the grant, stalls (the
   // "mcs.wake" FailPoint), and only then issues the wake — by which time
   // the granted waiter has run its critical section, unlocked, and exited,
   // recycling its ThreadCtx slot. The generation check must suppress the
@@ -272,7 +236,7 @@ TEST(StaleWake, McsPostGrantWakeToExitedThreadIsNoOp) {
                          {.action = failpoint::Action::kDelay,
                           .max_hits = 1,
                           .delay_iters = 200u * 1000 * 1000});
-    lock.unlock();  // Grant CAS -> long stall -> generation-checked wake.
+    lock.unlock();  // Grant store -> long stall -> generation-checked wake.
     waiter.join();
     failpoint::Reset();
     suppressed = StaleWakesSuppressed() > before;
@@ -302,14 +266,18 @@ TEST(ServerChurn, StartStopTimes100IsMemoryFlat) {
     }
     server.Stop();
   };
-  // Warm rounds: worker ThreadCtx/QNode working set carved into slabs.
+  // Warm rounds: worker ThreadCtx/QNode working set carved into slabs,
+  // and this thread's own QNode pool filled.
   {
     KvServer server(opts);
     for (int i = 0; i < 10; ++i) {
       round(server);
     }
   }
+  ReleaseQNode(AcquireQNode());
   const std::size_t warm = TotalSlabBytesReserved();
+  const std::uint64_t ctx_live = ThreadCtxSlab().SlotsLive();
+  const std::uint64_t qnode_live = QNodeSlab().SlotsLive();
   {
     KvServer server(opts);
     for (int i = 0; i < 100; ++i) {
@@ -318,10 +286,14 @@ TEST(ServerChurn, StartStopTimes100IsMemoryFlat) {
   }
   // 100 start/stop cycles re-use the warm working set; the pre-slab
   // registry leaked 2 ThreadCtx + 32 QNodes per cycle, which would blow
-  // through the one-slab-per-type slack immediately.
+  // through the one-slab-per-type slack immediately. The slot counts are
+  // exact: a byte-bound failure with them equal means slots sat in per-CPU
+  // magazines, not that an exited worker kept one.
   EXPECT_LE(TotalSlabBytesReserved(),
             warm + SlabAllocator<ThreadCtx>::kDefaultSlotsPerSlab * sizeof(ThreadCtx) +
                 SlabAllocator<QNode>::kDefaultSlotsPerSlab * sizeof(QNode));
+  EXPECT_EQ(ThreadCtxSlab().SlotsLive(), ctx_live);
+  EXPECT_EQ(QNodeSlab().SlotsLive(), qnode_live);
 }
 
 }  // namespace
